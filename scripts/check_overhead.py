@@ -15,40 +15,20 @@ Usage:
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from anthill.generate import gen_typed_program
 from anthill.runtime import CastError, PyError, Timeout, Value, run
 from anthill.translate import translate_program
-from anthill.upython import (
-    UApp, UCheck, UClass, UGet, UInt, ULam, ULet, USet, UVar,
-)
+from anthill.upython import UCheck
 
 
 def erase_checks(e):
-    if isinstance(e, UCheck):
-        return erase_checks(e.subject)
-    if isinstance(e, (UInt, UVar)):
-        return e
-    if isinstance(e, ULam):
-        return ULam(e.params, erase_checks(e.body))
-    if isinstance(e, UApp):
-        return UApp(erase_checks(e.fn),
-                    tuple(erase_checks(a) for a in e.args), e.label)
-    if isinstance(e, ULet):
-        return ULet(e.name, erase_checks(e.bound), erase_checks(e.body))
-    if isinstance(e, UGet):
-        return UGet(erase_checks(e.subject), e.attr, e.label)
-    if isinstance(e, USet):
-        return USet(erase_checks(e.subject), e.attr,
-                    erase_checks(e.value), e.label)
-    if isinstance(e, UClass):
-        return UClass(e.name,
-                      tuple(erase_checks(s) for s in e.supers),
-                      tuple((x, erase_checks(m)) for x, m in e.members),
-                      erase_checks(e.ctor), e.label)
-    raise TypeError(f"unexpected node {e!r}")
+    while isinstance(e, UCheck):
+        e = e.subject
+    return e.rebuild(tuple(map(erase_checks, e.children())))
 
 
 def outcome_name(o):

@@ -14,8 +14,9 @@ Usage:
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from anthill.harness import TrialConfig, run_trials
 

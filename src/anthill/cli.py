@@ -3,7 +3,9 @@
 Exit codes mirror run outcomes so scripts can branch on them:
 0 success, 1 static type error, 2 failed cast, 3 native runtime error,
 4 translated-origin runtime error, 5 step budget exhausted, 64 usage or
-parse error.
+parse error, 70 internal error: an unexpected exception, such as a
+RecursionError on deeply nested input, reported on stderr instead of a
+traceback.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class ExitStatus(enum.IntEnum):
     TRANSLATED_ERROR = 4
     TIMEOUT = 5
     USAGE = 64
+    INTERNAL = 70
 
 
 def _read(path: str) -> str:
@@ -255,6 +258,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else int(ExitStatus.USAGE)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return int(ExitStatus.INTERNAL)
 
 
 if __name__ == "__main__":

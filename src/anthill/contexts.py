@@ -9,28 +9,33 @@ plugged expression by design.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .upython import (
+    INT_TAG,
     NATIVE,
+    PYOBJ,
+    FunTag,
     Tag,
+    UAddr,
     UApp,
     UCheck,
     UClass,
     UGet,
     UHole,
-    UInt,
     ULam,
     ULet,
     UPyExpr,
     USet,
-    UVar,
     is_value,
-    PYOBJ,
-    INT_TAG,
+    walk,
 )
 from .verify import TagEnv, TagError, env_extend, infer, tag_env, tag_subtype
-from .upython import FunTag
 
 CodeContext = UPyExpr
+
+# the word each labelled form uses in ContextError messages
+_FORM_NAME = {UApp: "call", UGet: "get", USet: "set", UClass: "class"}
 
 
 class ContextError(ValueError):
@@ -38,116 +43,55 @@ class ContextError(ValueError):
 
 
 def count_holes(e: UPyExpr) -> int:
-    if isinstance(e, UHole):
-        return 1
-    if isinstance(e, (UVar, UInt)):
-        return 0
-    if isinstance(e, ULam):
-        return count_holes(e.body)
-    if isinstance(e, UApp):
-        return count_holes(e.fn) + sum(count_holes(a) for a in e.args)
-    if isinstance(e, UGet):
-        return count_holes(e.subject)
-    if isinstance(e, USet):
-        return count_holes(e.subject) + count_holes(e.value)
-    if isinstance(e, ULet):
-        return count_holes(e.bound) + count_holes(e.body)
-    if isinstance(e, UClass):
-        return (sum(count_holes(s) for s in e.supers)
-                + sum(count_holes(m) for _, m in e.members)
-                + count_holes(e.ctor))
-    if isinstance(e, UCheck):
-        return count_holes(e.subject)
-    return 0
+    return sum(isinstance(n, UHole) for n in walk(e))
 
 
 def validate_context(ctx: CodeContext) -> None:
     """Raise ContextError unless ctx has exactly one hole, carries only
     native labels, and has value superclasses on any class whose member
     expression contains the hole."""
-    n = count_holes(ctx)
+    nodes = list(walk(ctx))
+    n = sum(isinstance(e, UHole) for e in nodes)
     if n != 1:
         raise ContextError(f"context must have exactly one hole, found {n}")
-    _validate(ctx)
-
-
-def _validate(e: UPyExpr) -> None:
-    if isinstance(e, (UHole, UVar, UInt)):
-        return
-    if isinstance(e, ULam):
-        _validate(e.body)
-        return
-    if isinstance(e, UCheck):
-        _validate(e.subject)
-        return
-    if isinstance(e, ULet):
-        _validate(e.bound)
-        _validate(e.body)
-        return
-    if isinstance(e, UApp):
-        if e.label is not NATIVE:
-            raise ContextError("context contains a translated-label call")
-        _validate(e.fn)
-        for a in e.args:
-            _validate(a)
-        return
-    if isinstance(e, UGet):
-        if e.label is not NATIVE:
-            raise ContextError("context contains a translated-label get")
-        _validate(e.subject)
-        return
-    if isinstance(e, USet):
-        if e.label is not NATIVE:
-            raise ContextError("context contains a translated-label set")
-        _validate(e.subject)
-        _validate(e.value)
-        return
-    if isinstance(e, UClass):
-        if e.label is not NATIVE:
-            raise ContextError("context contains a translated-label class")
-        member_hole = any(count_holes(m) for _, m in e.members)
-        if member_hole and not all(is_value(s) for s in e.supers):
+    for e in nodes:
+        if isinstance(e, UAddr):
+            raise ContextError(f"not a context form: {e!r}")
+        form = _FORM_NAME.get(type(e))
+        if form is not None and e.label is not NATIVE:
+            raise ContextError(f"context contains a translated-label {form}")
+        if (form == "class"
+                and not all(map(is_value, e.supers))
+                and any(count_holes(m) for _, m in e.members)):
             raise ContextError(
                 "a class whose member holds the hole must have value "
                 "superclasses")
-        for s in e.supers:
-            _validate(s)
-        for _, m in e.members:
-            _validate(m)
-        _validate(e.ctor)
-        return
-    raise ContextError(f"not a context form: {e!r}")
 
 
 def plug(ctx: CodeContext, e: UPyExpr) -> UPyExpr:
     """Replace the hole with e, verbatim."""
     if isinstance(ctx, UHole):
         return e
-    if isinstance(ctx, (UVar, UInt)):
-        return ctx
-    if isinstance(ctx, ULam):
-        return ULam(ctx.params, plug(ctx.body, e))
-    if isinstance(ctx, UApp):
-        return UApp(plug(ctx.fn, e), tuple(plug(a, e) for a in ctx.args),
-                    ctx.label)
-    if isinstance(ctx, UGet):
-        return UGet(plug(ctx.subject, e), ctx.attr, ctx.label)
-    if isinstance(ctx, USet):
-        return USet(plug(ctx.subject, e), ctx.attr, plug(ctx.value, e),
-                    ctx.label)
-    if isinstance(ctx, ULet):
-        return ULet(ctx.name, plug(ctx.bound, e), plug(ctx.body, e))
-    if isinstance(ctx, UClass):
-        return UClass(ctx.name, tuple(plug(s, e) for s in ctx.supers),
-                      tuple((l, plug(m, e)) for l, m in ctx.members),
-                      plug(ctx.ctor, e), ctx.label)
-    if isinstance(ctx, UCheck):
-        return UCheck(plug(ctx.subject, e), ctx.tag)
-    return ctx
+    return ctx.rebuild(tuple(map(plug, ctx.children(), repeat(e))))
 
 
-def _has_hole(e: UPyExpr) -> bool:
-    return count_holes(e) > 0
+def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, int]]:
+    """The (node, child index) steps from ctx down to its first hole in
+    evaluation order, found without recursion."""
+    stack = [(ctx, None)]
+    while stack:
+        e, link = stack.pop()
+        if isinstance(e, UHole):
+            path = []
+            while link is not None:
+                link, node, i = link
+                path.append((node, i))
+            path.reverse()
+            return path
+        kids = e.children()
+        for i in reversed(range(len(kids))):
+            stack.append((kids[i], (link, e, i)))
+    raise TagError("context", f"no hole beneath {ctx!r}", ctx)
 
 
 def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag]:
@@ -156,88 +100,42 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
     context once plugged. The hole environment must be the outer
     environment extended, in path order, by the binders crossed on the
     way to the hole. Raises TagError when a side premise fails."""
-    return _tc(ctx, tag_env(hole_env), hole_tag)
+    env, tag = tag_env(hole_env), hole_tag
+    # fold the hole's path outwards: (env, tag) is what the child at
+    # index i, the one holding the hole, was typed with and at
+    for node, i in reversed(_hole_path(ctx)):
+        if isinstance(node, ULam):
+            k = len(node.params)
+            expected = tuple((x, PYOBJ) for x in node.params)
+            if k and env[-k:] != expected:
+                raise TagError(
+                    "context",
+                    f"hole environment does not end with the lambda binders "
+                    f"{expected!r}")
+            env, tag = env[:len(env) - k], FunTag(k)
+        elif isinstance(node, UCheck):
+            tag = node.tag
+        elif isinstance(node, ULet) and i == 0:
+            tag = infer(env_extend(env, (node.name, tag)), {}, node.body)
+        elif isinstance(node, ULet):
+            if len(env) == 0 or env[-1][0] != node.name:
+                raise TagError(
+                    "context",
+                    f"hole environment does not end with the let binder "
+                    f"{node.name!r}")
+            env, (_, assumed) = env[:-1], env[-1]
+            bound_tag = infer(env, {}, node.bound)
+            if not tag_subtype(bound_tag, assumed):
+                raise TagError(
+                    "context",
+                    f"let-bound expression has {bound_tag!r}, hole assumes "
+                    f"{assumed!r}")
+        else:
+            # an elimination or class form: the siblings of the hole's
+            # child are plain expressions typed under the same environment
+            for j, kid in enumerate(node.children()):
+                if j != i:
+                    infer(env, {}, kid)
+            tag = INT_TAG if isinstance(node, USet) else PYOBJ
+    return env, tag
 
-
-def _strip_suffix(env: TagEnv, expected: TagEnv, what: str) -> TagEnv:
-    k = len(expected)
-    if k == 0:
-        return env
-    if len(env) < k or env[-k:] != expected:
-        raise TagError(
-            "context",
-            f"hole environment does not end with the {what} binders "
-            f"{expected!r}")
-    return env[:-k]
-
-
-def _tc(ctx: CodeContext, hole_env: TagEnv, hole_tag: Tag) -> tuple[TagEnv, Tag]:
-    if isinstance(ctx, UHole):
-        return hole_env, hole_tag
-
-    if isinstance(ctx, ULam):
-        env, _ = _tc(ctx.body, hole_env, hole_tag)
-        expected = tuple((x, PYOBJ) for x in ctx.params)
-        outer = _strip_suffix(env, expected, "lambda")
-        return outer, FunTag(len(ctx.params))
-
-    if isinstance(ctx, UCheck):
-        env, _ = _tc(ctx.subject, hole_env, hole_tag)
-        return env, ctx.tag
-
-    if isinstance(ctx, ULet):
-        if _has_hole(ctx.bound):
-            env, bound_tag = _tc(ctx.bound, hole_env, hole_tag)
-            body_tag = infer(env_extend(env, (ctx.name, bound_tag)), {},
-                             ctx.body)
-            return env, body_tag
-        env, body_tag = _tc(ctx.body, hole_env, hole_tag)
-        if len(env) == 0 or env[-1][0] != ctx.name:
-            raise TagError(
-                "context",
-                f"hole environment does not end with the let binder "
-                f"{ctx.name!r}")
-        outer, (_, assumed) = env[:-1], env[-1]
-        bound_tag = infer(outer, {}, ctx.bound)
-        if not tag_subtype(bound_tag, assumed):
-            raise TagError(
-                "context",
-                f"let-bound expression has {bound_tag!r}, hole assumes "
-                f"{assumed!r}")
-        return outer, body_tag
-
-    if isinstance(ctx, UApp):
-        parts = [ctx.fn, *ctx.args]
-        env = _tc_branch(parts, hole_env, hole_tag)
-        return env, PYOBJ
-
-    if isinstance(ctx, UGet):
-        env, _ = _tc(ctx.subject, hole_env, hole_tag)
-        return env, PYOBJ
-
-    if isinstance(ctx, USet):
-        env = _tc_branch([ctx.subject, ctx.value], hole_env, hole_tag)
-        return env, INT_TAG
-
-    if isinstance(ctx, UClass):
-        parts = [*ctx.supers, *(m for _, m in ctx.members), ctx.ctor]
-        env = _tc_branch(parts, hole_env, hole_tag)
-        return env, PYOBJ
-
-    raise TagError("context", f"no hole beneath {ctx!r}", ctx)
-
-
-def _tc_branch(parts, hole_env: TagEnv, hole_tag: Tag) -> TagEnv:
-    # exactly one part holds the hole; the rest are plain expressions
-    # typed at pyobj under the outer environment
-    env = None
-    for p in parts:
-        if _has_hole(p):
-            env, sub_tag = _tc(p, hole_env, hole_tag)
-            if not tag_subtype(sub_tag, PYOBJ):
-                raise TagError("context", f"{sub_tag!r} not below pyobj", p)
-    assert env is not None
-    for p in parts:
-        if not _has_hole(p):
-            infer(env, {}, p)
-    return env

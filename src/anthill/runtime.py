@@ -10,7 +10,7 @@ carrying the origin label of the offending elimination form.
 
 from __future__ import annotations
 
-import itertools
+from itertools import count, repeat
 from dataclasses import dataclass, field
 
 from .upython import (
@@ -87,16 +87,6 @@ class Heap:
 
     def items(self):
         return self._store.items()
-
-    def copy(self) -> "Heap":
-        new = Heap()
-        new._next = self._next
-        for a, h in self._store.items():
-            if isinstance(h, ObjH):
-                new._store[a] = ObjH(h.cls, dict(h.members))
-            else:
-                new._store[a] = ClassH(h.supers, dict(h.members), h.ctor)
-        return new
 
     def __repr__(self) -> str:
         return f"Heap({self._store!r})"
@@ -208,7 +198,7 @@ class _NullaryMethod:
 NOT_FOUND = _NotFound()
 NULLARY_METHOD = _NullaryMethod()
 
-_fresh_counter = itertools.count()
+_fresh_counter = count()
 
 
 def _fresh(prefix: str) -> str:
@@ -248,31 +238,14 @@ def substitute(e: UPyExpr, bindings: dict[str, UPyExpr]) -> UPyExpr:
         return e
     if isinstance(e, UVar):
         return bindings.get(e.name, e)
-    if isinstance(e, (UInt, UAddr)):
-        return e
     if isinstance(e, ULam):
         inner = {x: v for x, v in bindings.items() if x not in e.params}
         return ULam(e.params, substitute(e.body, inner)) if inner else e
-    if isinstance(e, UApp):
-        return UApp(substitute(e.fn, bindings),
-                    tuple(substitute(a, bindings) for a in e.args), e.label)
-    if isinstance(e, UGet):
-        return UGet(substitute(e.subject, bindings), e.attr, e.label)
-    if isinstance(e, USet):
-        return USet(substitute(e.subject, bindings), e.attr,
-                    substitute(e.value, bindings), e.label)
     if isinstance(e, ULet):
         bound = substitute(e.bound, bindings)
         inner = {x: v for x, v in bindings.items() if x != e.name}
         return ULet(e.name, bound, substitute(e.body, inner))
-    if isinstance(e, UClass):
-        return UClass(e.name,
-                      tuple(substitute(s, bindings) for s in e.supers),
-                      tuple((l, substitute(m, bindings)) for l, m in e.members),
-                      substitute(e.ctor, bindings), e.label)
-    if isinstance(e, UCheck):
-        return UCheck(substitute(e.subject, bindings), e.tag)
-    raise TypeError(f"cannot substitute into {e!r}")
+    return e.rebuild(tuple(map(substitute, e.children(), repeat(bindings))))
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,20 @@ INT_TAG = IntTag()
 
 # ---------------------------------------------------------------------------
 # expressions
+#
+# Every node has one view of its child slots: `children()` lists the
+# subexpressions in evaluation order, and `rebuild(kids)` makes the same
+# node over new children given in that order. Leaves have no children.
 
 
 class UPyExpr:
     __slots__ = ()
+
+    def children(self) -> tuple[UPyExpr, ...]:
+        return ()
+
+    def rebuild(self, kids) -> UPyExpr:
+        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,6 +112,12 @@ class ULam(UPyExpr):
     params: tuple[str, ...]
     body: UPyExpr
 
+    def children(self):
+        return (self.body,)
+
+    def rebuild(self, kids):
+        return ULam(self.params, kids[0])
+
 
 @dataclass(frozen=True, slots=True)
 class UApp(UPyExpr):
@@ -109,12 +125,24 @@ class UApp(UPyExpr):
     args: tuple[UPyExpr, ...]
     label: Label = NATIVE
 
+    def children(self):
+        return (self.fn, *self.args)
+
+    def rebuild(self, kids):
+        return UApp(kids[0], tuple(kids[1:]), self.label)
+
 
 @dataclass(frozen=True, slots=True)
 class UGet(UPyExpr):
     subject: UPyExpr
     attr: str
     label: Label = NATIVE
+
+    def children(self):
+        return (self.subject,)
+
+    def rebuild(self, kids):
+        return UGet(kids[0], self.attr, self.label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,12 +152,24 @@ class USet(UPyExpr):
     value: UPyExpr
     label: Label = NATIVE
 
+    def children(self):
+        return (self.subject, self.value)
+
+    def rebuild(self, kids):
+        return USet(kids[0], self.attr, kids[1], self.label)
+
 
 @dataclass(frozen=True, slots=True)
 class ULet(UPyExpr):
     name: str
     bound: UPyExpr
     body: UPyExpr
+
+    def children(self):
+        return (self.bound, self.body)
+
+    def rebuild(self, kids):
+        return ULet(self.name, kids[0], kids[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,11 +190,26 @@ class UClass(UPyExpr):
                 raise ValueError(f"duplicate member label {lbl!r}")
             seen.add(lbl)
 
+    def children(self):
+        return (*self.supers, self.ctor, *(m for _, m in self.members))
+
+    def rebuild(self, kids):
+        n = len(self.supers)
+        return UClass(self.name, tuple(kids[:n]),
+                      tuple(zip((l for l, _ in self.members), kids[n + 1:])),
+                      kids[n], self.label)
+
 
 @dataclass(frozen=True, slots=True)
 class UCheck(UPyExpr):
     subject: UPyExpr
     tag: Tag
+
+    def children(self):
+        return (self.subject,)
+
+    def rebuild(self, kids):
+        return UCheck(kids[0], self.tag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,31 +221,11 @@ def is_value(e: UPyExpr) -> bool:
     return isinstance(e, (UInt, ULam, UAddr))
 
 
-def free_vars(e: UPyExpr) -> frozenset[str]:
-    if isinstance(e, UVar):
-        return frozenset((e.name,))
-    if isinstance(e, (UInt, UAddr, UHole)):
-        return frozenset()
-    if isinstance(e, ULam):
-        return free_vars(e.body) - frozenset(e.params)
-    if isinstance(e, UApp):
-        out = free_vars(e.fn)
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, UGet):
-        return free_vars(e.subject)
-    if isinstance(e, USet):
-        return free_vars(e.subject) | free_vars(e.value)
-    if isinstance(e, ULet):
-        return free_vars(e.bound) | (free_vars(e.body) - frozenset((e.name,)))
-    if isinstance(e, UClass):
-        out = free_vars(e.ctor)
-        for s in e.supers:
-            out |= free_vars(s)
-        for _, m in e.members:
-            out |= free_vars(m)
-        return out
-    if isinstance(e, UCheck):
-        return free_vars(e.subject)
-    raise TypeError(f"not an expression: {e!r}")
+def walk(e: UPyExpr):
+    """Every node of e once, parents before children, children in
+    evaluation order. Iterative, so any depth of nesting is fine."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(e.children()))

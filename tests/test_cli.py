@@ -228,3 +228,14 @@ def test_usage_errors(argv, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "fuzz" in capsys.readouterr().out
+
+
+# -------------------------------------------------------------- internal
+
+def test_internal_error_is_reported_not_raised(tmp_path, capsys):
+    # 400 nested parentheses overflow the recursive-descent parser
+    deep = _write(tmp_path, "deep.upy", "(" * 400 + "1" + ")" * 400)
+    assert main(["run", deep]) == ExitStatus.INTERNAL == 70
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError: ")
+    assert "Traceback" not in err

@@ -1,0 +1,113 @@
+"""The child-slot view of μPython nodes: `children`, `rebuild` and
+`walk`."""
+
+import dataclasses
+import random
+from collections import Counter
+
+from anthill.generate import gen_typed_program, gen_untyped_context
+from anthill.translate import translate_program
+from anthill.upython import (
+    PYOBJ,
+    TRANSLATED,
+    UAddr,
+    UApp,
+    UCheck,
+    UClass,
+    UGet,
+    UHole,
+    UInt,
+    ULam,
+    ULet,
+    UPyExpr,
+    USet,
+    UVar,
+    walk,
+)
+
+
+def _corpus(n=200):
+    rng = random.Random(2)
+    for _ in range(n):
+        yield gen_untyped_context(rng, rng.randint(1, 6)).expr
+        term, _ = gen_typed_program(rng, rng.randint(1, 5))
+        yield translate_program(term)[0]
+
+
+def _field_subterms(e):
+    # the direct subexpressions, read off the dataclass fields rather
+    # than through the view under test
+    out = []
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        items = v if isinstance(v, tuple) else (v,)
+        for item in items:
+            if isinstance(item, tuple):   # a (label, member) pair
+                item = item[1]
+            if isinstance(item, UPyExpr):
+                out.append(item)
+    return out
+
+
+def test_rebuild_of_children_is_the_identity():
+    for root in _corpus():
+        for e in walk(root):
+            assert e.rebuild(e.children()) == e
+
+
+def test_rebuild_puts_each_child_back_in_its_slot():
+    for root in _corpus(50):
+        for e in walk(root):
+            fresh = tuple(UInt(i) for i in range(len(e.children())))
+            rebuilt = e.rebuild(fresh)
+            assert type(rebuilt) is type(e)
+            assert rebuilt.children() == fresh
+
+
+def test_children_are_in_evaluation_order():
+    a, b, c, d = UVar("a"), UVar("b"), UVar("c"), UVar("d")
+    expected = [
+        (UVar("x"), ()),
+        (UInt(3), ()),
+        (UAddr(0), ()),
+        (UHole(), ()),
+        (ULam(("x", "y"), a), (a,)),
+        (UApp(a, (b, c), TRANSLATED), (a, b, c)),
+        (UGet(a, "m"), (a,)),
+        (USet(a, "m", b), (a, b)),
+        (ULet("x", a, b), (a, b)),
+        (UCheck(a, PYOBJ), (a,)),
+        (UClass("C", (a, b), (("p", c), ("q", d)), UInt(0)),
+         (a, b, UInt(0), c, d)),
+    ]
+    for e, kids in expected:
+        assert e.children() == kids, e
+
+
+def test_class_rebuild_keeps_member_labels():
+    e = UClass("C", (UVar("s"),), (("p", UInt(1)), ("q", UInt(2))),
+               UVar("k"), TRANSLATED)
+    kids = (UInt(10), UInt(11), UInt(12), UInt(13))
+    assert e.rebuild(kids) == UClass(
+        "C", (UInt(10),), (("p", UInt(12)), ("q", UInt(13))), UInt(11),
+        TRANSLATED)
+
+
+def test_walk_yields_every_node_exactly_once():
+    for root in _corpus():
+        expected = Counter()
+        stack = [root]
+        while stack:
+            e = stack.pop()
+            expected[id(e)] += 1
+            stack.extend(_field_subterms(e))
+        seen = list(walk(root))
+        assert Counter(map(id, seen)) == expected
+        assert seen[0] is root
+
+
+def test_walk_visits_parents_first_in_evaluation_order():
+    e = UApp(ULet("x", UInt(1), UVar("x")), (UGet(UVar("o"), "m"),))
+    assert list(walk(e)) == [
+        e, e.fn, UInt(1), UVar("x"), e.args[0], UVar("o")]
+
