@@ -3,9 +3,9 @@
 Exit codes mirror run outcomes so scripts can branch on them:
 0 success, 1 static type error, 2 failed cast, 3 native runtime error,
 4 translated-origin runtime error, 5 step budget exhausted, 64 usage or
-parse error, 70 internal error: an unexpected exception, such as a
-RecursionError on deeply nested input, reported on stderr instead of a
-traceback.
+parse error (input nested too deeply for the parser included), 70
+internal error: an unexpected exception, a bug in the package, reported
+on stderr instead of a traceback.
 """
 
 from __future__ import annotations

@@ -7,11 +7,27 @@ postfix exclamation mark (and class! for class expressions) marks the
 translated label, which the printer emits and this parser accepts for
 round-tripping. Runtime addresses (@n) and the context hole (HOLE)
 parse only under explicit flags.
+
+Tokens, after layout (spaces, tabs, carriage returns, newlines and #
+comments to the end of the line) is skipped:
+
+    NUM     a run of decimal digits, the digits int() reads
+    IDENT   a letter or _, then letters, digits or _ (str.isalpha and
+            str.isalnum), unless the word is one of KEYWORDS
+    keyword one of KEYWORDS
+    punct   -> ( ) { } [ ] , ; : . = ! @
+
+Keywords and punctuation are token kinds of their own, named by their
+text. Any other character is an error; $ gets a message of its own,
+since the runtime names its binders with it. The token list ends in an
+EOF sentinel. An error position is line:col, every character, a tab
+included, counting as one column; EOF after a trailing comment sits at
+the comment's #.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .core import (
     CLOSED,
@@ -71,132 +87,118 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # NUM, IDENT, KW, PUNCT, EOF
-    text: str
-    line: int
-    col: int
+# One token and the layout after it, so that a match never starts
+# inside a comment. A word may start with a non-decimal digit such as a
+# superscript, which the lexer rejects, and a character that starts no
+# token is a token of its own, so that findall skips nothing.
+_LAYOUT = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_SKIP = re.compile(_LAYOUT)
+_TOKEN = re.compile(r"(\d+|[^\W\d]\w*|->|.)" + _LAYOUT, re.DOTALL)
+_FIXED = {t: t for t in (*KEYWORDS, "->", *"(){}[],;:.=!@")}
 
 
-_PUNCT2 = ("->",)
-_PUNCT1 = "(){}[],;:.=!@"
+def _kind(token: str) -> str:
+    c = token[0]
+    if c.isalpha() or c == "_":
+        return "IDENT"
+    return "NUM" if c.isdecimal() else "BAD"
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "$":
-            raise ParseError("the $ namespace is reserved for runtime "
-                             "binders", line, col)
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KW" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if text[i:i + 2] in _PUNCT2:
-            tokens.append(Token("PUNCT", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token("PUNCT", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+def _lex(text: str) -> tuple[list[str], list[str]]:
+    """The kind and the text of each token, both ending in EOF."""
+    texts = _TOKEN.findall(text, _SKIP.match(text).end())
+    kinds = [_FIXED.get(t) or _kind(t) for t in texts]
+    if "BAD" in kinds:
+        i = kinds.index("BAD")
+        c = texts[i][0]
+        raise _error(text, _offsets(text)[i],
+                     "the $ namespace is reserved for runtime binders"
+                     if c == "$" else f"unexpected character {c!r}")
+    kinds.append("EOF")
+    texts.append("")
+    return kinds, texts
+
+
+def _offsets(text: str) -> list[int]:
+    """The offset of each token, EOF included; only errors need them."""
+    offsets = []
+    end = 0
+    for m in _TOKEN.finditer(text, _SKIP.match(text).end()):
+        offsets.append(m.start())
+        end = m.end(1)
+    comment = text.find("#", max(end, text.rfind("\n") + 1))
+    offsets.append(comment if comment >= 0 else len(text))
+    return offsets
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Each token's kind, text and offset, ending in the EOF sentinel."""
+    return list(zip(*_lex(text), _offsets(text)))
 
 
 class _Parser:
+    # Grammar rules look at the current token before they consume it,
+    # so the position never moves past the EOF sentinel.
     def __init__(self, text: str) -> None:
-        self.tokens = tokenize(text)
+        self.source = text
+        self.kinds, self.texts = _lex(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def parse(self, rule):
+        """Apply rule to the whole input. The rules recurse once or more
+        per level of nesting, so input nested deeper than the stack
+        allows is an error at the token where it ran out."""
+        try:
+            result = rule()
+        except RecursionError:
+            raise self.fail("input nested too deeply") from None
+        if self.kinds[self.pos] != "EOF":
+            raise self.fail(
+                f"unexpected trailing input {self.texts[self.pos]!r}")
+        return result
 
-    def next(self) -> Token:
-        t = self.peek()
-        if t.kind != "EOF":
+    def next(self) -> str:
+        self.pos += 1
+        return self.texts[self.pos - 1]
+
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
+
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
-        return t
+            return True
+        return False
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+    def expect(self, kind: str, what: str | None = None) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            found = self.texts[pos] or "EOF"
+            raise self.fail(f"expected {what or repr(kind)}, found {found!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.next()
-        return None
+    def fail(self, message: str, pos: int | None = None) -> ParseError:
+        offset = _offsets(self.source)[self.pos if pos is None else pos]
+        return _error(self.source, offset, message)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}",
-                             t.line, t.col)
-        return self.next()
-
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
-
-    def expect_end(self) -> None:
-        t = self.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {t.text!r}",
-                             t.line, t.col)
-
-    def ident(self, what: str = "identifier") -> str:
-        t = self.peek()
-        if t.kind != "IDENT":
-            raise ParseError(f"expected {what}, found {t.text or t.kind!r}",
-                             t.line, t.col)
-        self.next()
-        return t.text
+    def ident(self, what: str) -> str:
+        return self.expect("IDENT", what)
 
     def binder(self) -> str:
         # a binder may be the wildcard; a reference may not
         return self.ident("binder")
 
     def reference(self) -> str:
-        t = self.peek()
+        pos = self.pos
         name = self.ident("variable")
         if name == "_":
-            raise ParseError("the wildcard _ cannot be referenced",
-                             t.line, t.col)
+            raise self.fail("the wildcard _ cannot be referenced", pos)
         return name
 
 
@@ -205,94 +207,84 @@ class _Parser:
 
 
 class AnthillParser(_Parser):
-    def parse_program(self) -> AnthillTerm:
-        t = self.term()
-        self.expect_end()
-        return t
-
-    def parse_type_only(self) -> AnthillType:
-        ty = self.type_()
-        self.expect_end()
-        return ty
-
     def term(self) -> AnthillTerm:
-        if self.at("KW", "let"):
+        if self.at("let"):
             return self.let_term()
-        if self.at("KW", "fun"):
+        if self.at("fun"):
             return self.fun_term()
-        if self.at("KW", "class"):
+        if self.at("class"):
             return self.class_term()
         return self.postfix_term()
 
     def let_term(self) -> AnthillTerm:
-        self.expect("KW", "let")
+        self.expect("let")
         name = self.binder()
-        self.expect("PUNCT", "=")
+        self.expect("=")
         bound = self.term()
-        self.expect("KW", "in")
+        self.expect("in")
         body = self.term()
         return Let(name, bound, body)
 
     def fun_term(self) -> AnthillTerm:
-        self.expect("KW", "fun")
-        self.expect("PUNCT", "(")
+        self.expect("fun")
+        self.expect("(")
         params = self.params()
-        self.expect("PUNCT", ")")
-        self.expect("PUNCT", "->")
+        self.expect(")")
+        self.expect("->")
         ret = self.type_()
-        self.expect("PUNCT", ":")
+        self.expect(":")
         body = self.term()
         return Fun(params, ret, body)
 
     def params(self) -> tuple:
         params = []
-        while not self.at("PUNCT", ")"):
+        while not self.at(")"):
             if params:
-                self.expect("PUNCT", ",")
+                self.expect(",")
             name = self.binder()
-            self.expect("PUNCT", ":")
+            self.expect(":")
             params.append((name, self.type_()))
         return tuple(params)
 
     def class_term(self) -> AnthillTerm:
-        self.expect("KW", "class")
+        self.expect("class")
         name = self.ident("class name")
-        self.expect("PUNCT", "(")
+        self.expect("(")
         supers = []
-        while not self.at("PUNCT", ")"):
+        while not self.at(")"):
             if supers:
-                self.expect("PUNCT", ",")
+                self.expect(",")
             supers.append(self.term())
-        self.expect("PUNCT", ")")
-        self.expect("PUNCT", "[")
+        self.expect(")")
+        self.expect("[")
         openness = self.openness()
-        self.expect("PUNCT", ";")
+        self.expect(";")
         class_attrs = self.attr_types()
-        self.expect("PUNCT", ";")
+        self.expect(";")
         instance_attrs = self.attr_types()
-        self.expect("PUNCT", "]")
-        self.expect("PUNCT", "{")
+        self.expect("]")
+        self.expect("{")
         methods: list[Method] = []
         fields: list[tuple[str, AnthillTerm]] = []
         ctor = None
         while True:
-            if self.at("KW", "init"):
-                self.expect("KW", "init")
-                self.expect("PUNCT", "=")
+            if self.at("init"):
+                self.expect("init")
+                self.expect("=")
                 ctor = self.ctor_term()
                 break
-            label_tok = self.peek()
+            label_pos = self.pos
             label = self.ident("member label or init")
-            self.expect("PUNCT", "=")
-            if self.at("KW", "meth"):
+            self.expect("=")
+            if self.at("meth"):
                 methods.append(self.meth_term(label))
             else:
                 fields.append((label, self.term()))
-            self.expect("PUNCT", ";")
-            if self.at("PUNCT", "}"):
-                raise ParseError("class body must end with an init clause",
-                                 label_tok.line, label_tok.col)
-        self.expect("PUNCT", "}")
+            self.expect(";")
+            if self.at("}"):
+                raise self.fail("class body must end with an init clause",
+                                label_pos)
+        self.expect("}")
         try:
             return ClassDecl(name, openness, class_attrs, instance_attrs,
                              tuple(supers), tuple(methods), tuple(fields),
@@ -301,54 +293,54 @@ class AnthillParser(_Parser):
             raise self.fail(str(exc)) from None
 
     def meth_term(self, label: str) -> Method:
-        self.expect("KW", "meth")
-        self.expect("PUNCT", "(")
+        self.expect("meth")
+        self.expect("(")
         receiver = self.binder()
         params = []
-        while not self.at("PUNCT", ")"):
-            self.expect("PUNCT", ",")
+        while not self.at(")"):
+            self.expect(",")
             pname = self.binder()
-            self.expect("PUNCT", ":")
+            self.expect(":")
             params.append((pname, self.type_()))
-        self.expect("PUNCT", ")")
-        self.expect("PUNCT", "->")
+        self.expect(")")
+        self.expect("->")
         ret = self.type_()
-        self.expect("PUNCT", ":")
+        self.expect(":")
         body = self.term()
         return Method(label, receiver, tuple(params), ret, body)
 
     def ctor_term(self) -> Constructor:
-        self.expect("KW", "ctor")
-        self.expect("PUNCT", "(")
+        self.expect("ctor")
+        self.expect("(")
         receiver = self.binder()
         params = []
-        while not self.at("PUNCT", ")"):
-            self.expect("PUNCT", ",")
+        while not self.at(")"):
+            self.expect(",")
             pname = self.binder()
-            self.expect("PUNCT", ":")
+            self.expect(":")
             params.append((pname, self.type_()))
-        self.expect("PUNCT", ")")
-        self.expect("PUNCT", ":")
+        self.expect(")")
+        self.expect(":")
         body = self.term()
         return Constructor(receiver, tuple(params), body)
 
     def postfix_term(self) -> AnthillTerm:
         e = self.atom()
         while True:
-            if self.at("PUNCT", "("):
+            if self.at("("):
                 self.next()
                 args = []
-                while not self.at("PUNCT", ")"):
+                while not self.at(")"):
                     if args:
-                        self.expect("PUNCT", ",")
+                        self.expect(",")
                     args.append(self.term())
-                self.expect("PUNCT", ")")
+                self.expect(")")
                 e = App(e, tuple(args))
                 continue
-            if self.at("PUNCT", "."):
+            if self.at("."):
                 self.next()
                 attr = self.ident("attribute label")
-                if self.accept("PUNCT", "="):
+                if self.accept("="):
                     return Set(e, attr, self.term())
                 e = Get(e, attr)
                 continue
@@ -356,71 +348,71 @@ class AnthillParser(_Parser):
 
     def atom(self) -> AnthillTerm:
         if self.at("NUM"):
-            return IntLit(int(self.next().text))
-        if self.at("PUNCT", "("):
+            return IntLit(int(self.next()))
+        if self.at("("):
             self.next()
             inner = self.term()
-            self.expect("PUNCT", ")")
+            self.expect(")")
             return inner
         if self.at("IDENT"):
             return Var(self.reference())
         raise self.fail("expected a term")
 
     def openness(self):
-        if self.accept("KW", "open"):
+        if self.accept("open"):
             return OPEN
-        if self.accept("KW", "closed"):
+        if self.accept("closed"):
             return CLOSED
         raise self.fail("expected 'open' or 'closed'")
 
     def attr_types(self) -> AttrTypes:
-        self.expect("PUNCT", "{")
+        self.expect("{")
         entries = []
-        while not self.at("PUNCT", "}"):
+        while not self.at("}"):
             if entries:
-                self.expect("PUNCT", ",")
-            tok = self.peek()
+                self.expect(",")
+            label_pos = self.pos
             label = self.ident("attribute label")
-            self.expect("PUNCT", ":")
+            self.expect(":")
             entries.append((label, self.type_()))
             if any(l == label for l, _ in entries[:-1]):
-                raise ParseError(f"duplicate attribute label {label!r}",
-                                 tok.line, tok.col)
-        self.expect("PUNCT", "}")
+                raise self.fail(f"duplicate attribute label {label!r}",
+                                label_pos)
+        self.expect("}")
         return AttrTypes(entries)
 
     def type_(self) -> AnthillType:
-        if self.accept("KW", "dyn"):
+        if self.accept("dyn"):
             return DYN
-        if self.accept("KW", "int"):
+        if self.accept("int"):
             return INT
-        if self.at("PUNCT", "("):
+        if self.at("("):
             self.next()
             params = []
-            while not self.at("PUNCT", ")"):
+            while not self.at(")"):
                 if params:
-                    self.expect("PUNCT", ",")
+                    self.expect(",")
                 params.append(self.type_())
-            self.expect("PUNCT", ")")
-            self.expect("PUNCT", "->")
+            self.expect(")")
+            self.expect("->")
             from .core import Function
             return Function(tuple(params), self.type_())
-        if self.accept("KW", "obj"):
+        if self.accept("obj"):
             name = self.ident("object type name")
             openness = self.openness()
             return Object(name, openness, self.attr_types())
-        if self.accept("KW", "class"):
+        if self.accept("class"):
             name = self.ident("class type name")
             openness = self.openness()
             class_attrs = self.attr_types()
             instance_attrs = self.attr_types()
-            self.expect("PUNCT", "(")
+            self.expect("(")
             ctor_params = []
-            while not self.at("PUNCT", ")"):
+            while not self.at(")"):
                 if ctor_params:
-                    self.expect("PUNCT", ",")
+                    self.expect(",")
                 ctor_params.append(self.type_())
-            self.expect("PUNCT", ")")
+            self.expect(")")
             return Class(name, openness, class_attrs, instance_attrs,
                          tuple(ctor_params))
         raise self.fail("expected a type")
@@ -437,86 +429,76 @@ class UPythonParser(_Parser):
         self.allow_hole = allow_hole
         self.allow_addresses = allow_addresses
 
-    def parse_program(self) -> UPyExpr:
-        e = self.expr()
-        self.expect_end()
-        return e
-
-    def parse_tag_only(self) -> Tag:
-        s = self.tag()
-        self.expect_end()
-        return s
-
     def expr(self) -> UPyExpr:
-        if self.at("KW", "let"):
+        if self.at("let"):
             self.next()
             name = self.binder()
-            self.expect("PUNCT", "=")
+            self.expect("=")
             bound = self.expr()
-            self.expect("KW", "in")
+            self.expect("in")
             return ULet(name, bound, self.expr())
-        if self.at("KW", "lambda"):
+        if self.at("lambda"):
             self.next()
-            self.expect("PUNCT", "(")
+            self.expect("(")
             params = []
-            while not self.at("PUNCT", ")"):
+            while not self.at(")"):
                 if params:
-                    self.expect("PUNCT", ",")
+                    self.expect(",")
                 params.append(self.binder())
-            self.expect("PUNCT", ")")
-            self.expect("PUNCT", ":")
+            self.expect(")")
+            self.expect(":")
             return ULam(tuple(params), self.expr())
-        if self.at("KW", "class"):
+        if self.at("class"):
             return self.class_expr()
         return self.postfix_expr()
 
     def class_expr(self) -> UPyExpr:
-        self.expect("KW", "class")
-        label = TRANSLATED if self.accept("PUNCT", "!") else NATIVE
+        self.expect("class")
+        label = TRANSLATED if self.accept("!") else NATIVE
         name = self.ident("class name")
-        self.expect("PUNCT", "(")
+        self.expect("(")
         supers = []
-        while not self.at("PUNCT", ")"):
+        while not self.at(")"):
             if supers:
-                self.expect("PUNCT", ",")
+                self.expect(",")
             supers.append(self.expr())
-        self.expect("PUNCT", ")")
-        self.expect("PUNCT", "{")
+        self.expect(")")
+        self.expect("{")
         members = []
-        while not self.at("PUNCT", "}"):
+        while not self.at("}"):
             if members:
-                self.expect("PUNCT", ",")
-            tok = self.peek()
+                self.expect(",")
+            label_pos = self.pos
             mlabel = self.ident("member label")
             if any(l == mlabel for l, _ in members):
-                raise ParseError(f"duplicate member label {mlabel!r}",
-                                 tok.line, tok.col)
-            self.expect("PUNCT", "=")
+                raise self.fail(f"duplicate member label {mlabel!r}",
+                                label_pos)
+            self.expect("=")
             members.append((mlabel, self.expr()))
-        self.expect("PUNCT", "}")
-        self.expect("KW", "init")
+        self.expect("}")
+        self.expect("init")
         ctor = self.expr()
         return UClass(name, tuple(supers), tuple(members), ctor, label)
 
     def postfix_expr(self) -> UPyExpr:
         e = self.atom()
         while True:
-            if self.at("PUNCT", "("):
+            if self.at("("):
                 self.next()
                 args = []
-                while not self.at("PUNCT", ")"):
+                while not self.at(")"):
                     if args:
-                        self.expect("PUNCT", ",")
+                        self.expect(",")
                     args.append(self.expr())
-                self.expect("PUNCT", ")")
-                label = TRANSLATED if self.accept("PUNCT", "!") else NATIVE
+                self.expect(")")
+                label = TRANSLATED if self.accept("!") else NATIVE
                 e = UApp(e, tuple(args), label)
                 continue
-            if self.at("PUNCT", "."):
+            if self.at("."):
                 self.next()
                 attr = self.ident("attribute label")
-                label = TRANSLATED if self.accept("PUNCT", "!") else NATIVE
-                if self.accept("PUNCT", "="):
+                label = TRANSLATED if self.accept("!") else NATIVE
+                if self.accept("="):
                     return USet(e, attr, self.expr(), label)
                 e = UGet(e, attr, label)
                 continue
@@ -524,32 +506,28 @@ class UPythonParser(_Parser):
 
     def atom(self) -> UPyExpr:
         if self.at("NUM"):
-            return UInt(int(self.next().text))
-        if self.at("PUNCT", "("):
+            return UInt(int(self.next()))
+        if self.at("("):
             self.next()
             inner = self.expr()
-            self.expect("PUNCT", ")")
+            self.expect(")")
             return inner
-        if self.at("KW", "check"):
+        if self.at("check"):
             self.next()
-            self.expect("PUNCT", "(")
+            self.expect("(")
             subject = self.expr()
-            self.expect("PUNCT", ",")
+            self.expect(",")
             tag = self.tag()
-            self.expect("PUNCT", ")")
+            self.expect(")")
             return UCheck(subject, tag)
-        if self.at("PUNCT", "@"):
-            tok = self.peek()
+        if self.at("@"):
             if not self.allow_addresses:
-                raise ParseError("addresses are not allowed in source",
-                                 tok.line, tok.col)
+                raise self.fail("addresses are not allowed in source")
             self.next()
-            return UAddr(int(self.expect("NUM").text))
-        if self.at("KW", "HOLE"):
-            tok = self.peek()
+            return UAddr(int(self.expect("NUM")))
+        if self.at("HOLE"):
             if not self.allow_hole:
-                raise ParseError("HOLE is only allowed in context files",
-                                 tok.line, tok.col)
+                raise self.fail("HOLE is only allowed in context files")
             self.next()
             return UHole()
         if self.at("IDENT"):
@@ -557,36 +535,36 @@ class UPythonParser(_Parser):
         raise self.fail("expected an expression")
 
     def tag(self) -> Tag:
-        if self.accept("KW", "pyobj"):
+        if self.accept("pyobj"):
             return PYOBJ
-        if self.accept("KW", "int"):
+        if self.accept("int"):
             return INT_TAG
-        if self.accept("KW", "fun"):
-            self.expect("PUNCT", "[")
-            arity = int(self.expect("NUM").text)
-            self.expect("PUNCT", "]")
+        if self.accept("fun"):
+            self.expect("[")
+            arity = int(self.expect("NUM"))
+            self.expect("]")
             return FunTag(arity)
-        if self.accept("KW", "obj"):
+        if self.accept("obj"):
             return ObjTag(self.tag_labels())
-        if self.accept("KW", "class"):
+        if self.accept("class"):
             labels = self.tag_labels()
-            self.expect("PUNCT", "[")
-            if self.accept("KW", "any"):
+            self.expect("[")
+            if self.accept("any"):
                 arity = None
             else:
-                arity = int(self.expect("NUM").text)
-            self.expect("PUNCT", "]")
+                arity = int(self.expect("NUM"))
+            self.expect("]")
             return ClassTag(labels, arity)
         raise self.fail("expected a tag")
 
     def tag_labels(self) -> tuple[str, ...]:
-        self.expect("PUNCT", "{")
+        self.expect("{")
         labels = []
-        while not self.at("PUNCT", "}"):
+        while not self.at("}"):
             if labels:
-                self.expect("PUNCT", ",")
+                self.expect(",")
             labels.append(self.ident("label"))
-        self.expect("PUNCT", "}")
+        self.expect("}")
         return tuple(labels)
 
 
@@ -595,17 +573,21 @@ class UPythonParser(_Parser):
 
 
 def parse_anthill(text: str) -> AnthillTerm:
-    return AnthillParser(text).parse_program()
+    p = AnthillParser(text)
+    return p.parse(p.term)
 
 
 def parse_anthill_type(text: str) -> AnthillType:
-    return AnthillParser(text).parse_type_only()
+    p = AnthillParser(text)
+    return p.parse(p.type_)
 
 
 def parse_upython(text: str, allow_hole: bool = False,
                   allow_addresses: bool = False) -> UPyExpr:
-    return UPythonParser(text, allow_hole, allow_addresses).parse_program()
+    p = UPythonParser(text, allow_hole, allow_addresses)
+    return p.parse(p.expr)
 
 
 def parse_tag(text: str) -> Tag:
-    return UPythonParser(text).parse_tag_only()
+    p = UPythonParser(text)
+    return p.parse(p.tag)

@@ -3,7 +3,8 @@
 Every function here recomputes something the library also computes, but
 by a deliberately different route: finite closure tables instead of
 structural rules, exhaustive proof search instead of syntax-directed
-inference, plain recursion instead of the engine's early exits. The
+inference, plain recursion instead of the engine's early exits, a
+character loop instead of the lexer's regular expression. The
 tests treat agreement between the two routes as the evidence; neither
 side is trusted on its own. Only the shared AST, tag, and heap
 datatypes are imported from the package, never the functions under
@@ -586,3 +587,71 @@ def o_heap_ok(heap: Heap, sigma: dict, decl: DeclarativeTyping) -> bool:
         return False
     return all(o_addr_typing(heap, sigma, a, t, decl)
                for a, t in sigma.items())
+
+
+# ---------------------------------------------------------------------------
+# reference lexer
+#
+# The library matches one regular expression and recovers positions only
+# for an error. Here the text is walked a character at a time, with the
+# line and the column kept up to date as it goes. Kinds follow the token
+# classes: NUM, IDENT, KW, PUNCT and a final EOF.
+
+O_KEYWORDS = frozenset({
+    "let", "in", "fun", "meth", "ctor", "init", "class", "obj",
+    "open", "closed", "dyn", "int", "lambda", "check", "pyobj", "any",
+    "HOLE",
+})
+O_PUNCTUATION = frozenset("(){}[],;:.=!@")
+
+
+@dataclass(frozen=True)
+class OToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+class OLexError(Exception):
+    def __init__(self, message: str, line: int, col: int) -> None:
+        super().__init__(f"{line}:{col}: {message}")
+
+
+def o_tokenize(text: str) -> list[OToken]:
+    tokens = []
+    i, line, col = 0, 1, 1
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c in " \t\r":
+            i, col = i + 1, col + 1
+        elif c == "#":
+            # the comment is dropped without moving the column
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif c == "$":
+            raise OLexError("the $ namespace is reserved for runtime "
+                            "binders", line, col)
+        else:
+            j = i + 1
+            if c.isdecimal():
+                kind = "NUM"
+                while j < len(text) and text[j].isdecimal():
+                    j += 1
+            elif c.isalpha() or c == "_":
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                kind = "KW" if text[i:j] in O_KEYWORDS else "IDENT"
+            elif text.startswith("->", i):
+                kind, j = "PUNCT", i + 2
+            elif c in O_PUNCTUATION:
+                kind = "PUNCT"
+            else:
+                raise OLexError(f"unexpected character {c!r}", line, col)
+            tokens.append(OToken(kind, text[i:j], line, col))
+            col += j - i
+            i = j
+    tokens.append(OToken("EOF", "", line, col))
+    return tokens

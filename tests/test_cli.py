@@ -2,6 +2,7 @@
 
 import pytest
 
+from anthill import cli
 from anthill.cli import ExitStatus, main
 from anthill.harness import TrialConfig, run_trials
 from anthill.parser import parse_upython
@@ -232,10 +233,31 @@ def test_help_exits_zero(capsys):
 
 # -------------------------------------------------------------- internal
 
-def test_internal_error_is_reported_not_raised(tmp_path, capsys):
-    # 400 nested parentheses overflow the recursive-descent parser
-    deep = _write(tmp_path, "deep.upy", "(" * 400 + "1" + ")" * 400)
-    assert main(["run", deep]) == ExitStatus.INTERNAL == 70
+def test_internal_error_is_reported_not_raised(tmp_path, capsys,
+                                               monkeypatch):
+    # an exception no command expects, here from the interpreter
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "run", overflow)
+    prog = _write(tmp_path, "one.upy", "1")
+    assert main(["run", prog]) == ExitStatus.INTERNAL == 70
     err = capsys.readouterr().err
     assert err.startswith("internal error: RecursionError: ")
     assert "Traceback" not in err
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    deep = _write(tmp_path, "deep.upy", "(" * 400 + "1" + ")" * 400)
+    assert main(["run", deep]) == ExitStatus.USAGE == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1:")
+    assert err.rstrip().endswith("input nested too deeply")
+
+
+def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
+    squared = _write(tmp_path, "squared.upy",
+                     "let x = 2 in f(x\u00b2, \u00b2)")
+    assert main(["run", squared]) == ExitStatus.USAGE == 64
+    assert capsys.readouterr().err == \
+        "error: 1:20: unexpected character '\u00b2'\n"

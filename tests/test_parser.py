@@ -4,6 +4,7 @@ sublanguage, and error positions on rejected input."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anthill.core import DYN, INT, Function, IntLit, Let, Var
 from anthill.generate import (
@@ -14,11 +15,14 @@ from anthill.generate import (
     gen_untyped_context,
 )
 from anthill.parser import (
+    AnthillParser,
     ParseError,
+    UPythonParser,
     parse_anthill,
     parse_anthill_type,
     parse_tag,
     parse_upython,
+    tokenize,
 )
 from anthill.printer import (
     print_anthill_term,
@@ -30,6 +34,7 @@ from anthill.translate import translate_program
 from anthill.upython import NATIVE, TRANSLATED, UApp, UGet, UInt, ULam, UVar
 
 from helpers import rand_bounded_expr
+from oracles import OLexError, o_tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +173,159 @@ def test_error_positions_point_at_the_offender():
 def test_duplicate_attribute_labels_rejected():
     with pytest.raises(ParseError):
         parse_anthill_type("obj[a: int, a: dyn]")
+
+
+def test_non_decimal_digit_is_an_unexpected_character():
+    # str.isdigit() holds for these, but int() cannot read them
+    for bad in ("\u00b2", "\u2460", "7\u00b2", "\u216b"):
+        with pytest.raises(ParseError) as err:
+            parse_upython(f"f({bad})")
+        assert str(err.value) == f"1:{2 + len(bad)}: unexpected character " \
+            f"{bad[-1]!r}"
+    # after the first character an identifier may hold any of them
+    assert parse_upython("x\u00b2\u216b") == UVar("x\u00b2\u216b")
+    # a decimal digit of any script is a number
+    assert parse_upython("\u0663") == UInt(3)
+
+
+@pytest.mark.parametrize("parse", [parse_anthill, parse_anthill_type,
+                                   parse_upython])
+def test_deep_nesting_is_a_parse_error(parse):
+    with pytest.raises(ParseError, match="input nested too deeply") as err:
+        parse("(" * 5000 + "1" + ")" * 5000)
+    assert err.value.line == 1
+
+
+# ---------------------------------------------------------------------------
+# the lexer against the reference lexer in tests/oracles.py
+
+
+def _kind(token):
+    # keywords and punctuation are token kinds of their own
+    return token.text if token.kind in ("KW", "PUNCT") else token.kind
+
+
+class _ReferenceTokens:
+    """Runs a grammar over the reference lexer's tokens and positions."""
+
+    def __init__(self, text, *flags):
+        super().__init__("", *flags)
+        tokens = o_tokenize(text)
+        self.kinds = [_kind(t) for t in tokens]
+        self.texts = [t.text for t in tokens]
+        self.positions = [(t.line, t.col) for t in tokens]
+
+    def fail(self, message, pos=None):
+        line, col = self.positions[self.pos if pos is None else pos]
+        return ParseError(message, line, col)
+
+
+class _ReferenceAnthill(_ReferenceTokens, AnthillParser):
+    pass
+
+
+class _ReferenceUPython(_ReferenceTokens, UPythonParser):
+    pass
+
+
+_ENTRY_POINTS = [
+    (parse_anthill, _ReferenceAnthill, "term", ()),
+    (parse_anthill_type, _ReferenceAnthill, "type_", ()),
+    (parse_upython, _ReferenceUPython, "expr", ()),
+    (lambda t: parse_upython(t, True, True), _ReferenceUPython, "expr",
+     (True, True)),
+    (parse_tag, _ReferenceUPython, "tag", ()),
+]
+
+_PIECES = st.sampled_from([
+    "let", "in", "fun", "meth", "ctor", "init", "class", "obj", "open",
+    "closed", "dyn", "int", "lambda", "check", "pyobj", "any", "HOLE",
+    "->", "-", ">", *"(){}[],;:.=!@", " ", "\t", "\r", "\n", "\x0c",
+    "# a comment", "#", "$", "_", "x", "y1", "\u00b2",
+])
+_CHARACTERS = st.characters(categories=("Lu", "Ll", "Lo", "Nd", "No", "Nl"))
+_TEXTS = st.lists(st.one_of(_PIECES, _CHARACTERS), max_size=40).map("".join)
+
+
+@st.composite
+def _edited_programs(draw):
+    """A printed program, type, tag or context with a span replaced."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    make = draw(st.sampled_from([
+        lambda: print_anthill_term(gen_typed_program(rng, 3)[0]),
+        lambda: print_anthill_type(gen_type(rng, 3)),
+        lambda: print_upython(
+            translate_program(gen_typed_program(rng, 3)[0])[0]),
+        lambda: print_upython(gen_untyped_context(rng, 3).expr),
+        lambda: print_tag(gen_tag(rng)),
+    ]))
+    text = make()
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 8)))
+    return text[:i] + draw(st.lists(_PIECES, max_size=2).map("".join)) \
+        + text[j:]
+
+
+_INPUTS = st.one_of(_TEXTS, _edited_programs())
+
+
+def _position(text, offset):
+    return text.count("\n", 0, offset) + 1, \
+        offset - text.rfind("\n", 0, offset)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_INPUTS)
+def test_lexer_agrees_with_reference(text):
+    try:
+        want = o_tokenize(text)
+    except OLexError as err:
+        with pytest.raises(ParseError) as got:
+            tokenize(text)
+        assert str(got.value) == str(err)
+        return
+    got = tokenize(text)
+    assert [(kind, t) for kind, t, _ in got] == \
+        [(_kind(t), t.text) for t in want]
+    assert [_position(text, offset) for _, _, offset in got] == \
+        [(t.line, t.col) for t in want]
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (ParseError, OLexError) as err:
+        return f"error {err}"
+
+
+def _reference_parse(cls, rule, flags, text):
+    p = cls(text, *flags)
+    return p.parse(getattr(p, rule))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_INPUTS)
+def test_parsers_agree_with_reference_lexer(text):
+    for parse, cls, rule, flags in _ENTRY_POINTS:
+        assert _outcome(parse, text) == \
+            _outcome(_reference_parse, cls, rule, flags, text)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    # EOF after a trailing comment sits at the comment's #
+    (parse_upython, "(1 # hi", "1:4: expected ')', found 'EOF'"),
+    (parse_anthill, "let x = 1 in\n  # no body", "2:3: expected a term"),
+    # a tab is one column
+    (parse_upython, "\t\tx y", "1:5: unexpected trailing input 'y'"),
+    (parse_anthill, "let $x = 1 in $x",
+     "1:5: the $ namespace is reserved for runtime binders"),
+    (parse_upython, "x\x0c", "1:2: unexpected character '\\x0c'"),
+])
+def test_error_positions_pinned(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    for entry, cls, rule, flags in _ENTRY_POINTS:
+        if entry is parse:
+            assert _outcome(_reference_parse, cls, rule, flags, text) == \
+                f"error {message}"
