@@ -11,7 +11,9 @@ parse only under explicit flags.
 Tokens, after layout (spaces, tabs, carriage returns, newlines and #
 comments to the end of the line) is skipped:
 
-    NUM     a run of decimal digits, the digits int() reads
+    NUM     a run of decimal digits, the digits int() reads; a number
+            longer than int() converts (sys.get_int_max_str_digits())
+            is an error
     IDENT   a letter or _, then letters, digits or _ (str.isalpha and
             str.isalnum), unless the word is one of KEYWORDS
     keyword one of KEYWORDS
@@ -187,6 +189,15 @@ class _Parser:
         offset = _offsets(self.source)[self.pos if pos is None else pos]
         return _error(self.source, offset, message)
 
+    def number(self) -> int:
+        pos = self.pos
+        digits = self.expect("NUM")
+        try:
+            return int(digits)
+        except ValueError:   # longer than sys.get_int_max_str_digits()
+            raise self.fail(f"number of {len(digits)} digits is too long",
+                            pos) from None
+
     def ident(self, what: str) -> str:
         return self.expect("IDENT", what)
 
@@ -348,7 +359,7 @@ class AnthillParser(_Parser):
 
     def atom(self) -> AnthillTerm:
         if self.at("NUM"):
-            return IntLit(int(self.next()))
+            return IntLit(self.number())
         if self.at("("):
             self.next()
             inner = self.term()
@@ -506,7 +517,7 @@ class UPythonParser(_Parser):
 
     def atom(self) -> UPyExpr:
         if self.at("NUM"):
-            return UInt(int(self.next()))
+            return UInt(self.number())
         if self.at("("):
             self.next()
             inner = self.expr()
@@ -524,7 +535,7 @@ class UPythonParser(_Parser):
             if not self.allow_addresses:
                 raise self.fail("addresses are not allowed in source")
             self.next()
-            return UAddr(int(self.expect("NUM")))
+            return UAddr(self.number())
         if self.at("HOLE"):
             if not self.allow_hole:
                 raise self.fail("HOLE is only allowed in context files")
@@ -541,7 +552,7 @@ class UPythonParser(_Parser):
             return INT_TAG
         if self.accept("fun"):
             self.expect("[")
-            arity = int(self.expect("NUM"))
+            arity = self.number()
             self.expect("]")
             return FunTag(arity)
         if self.accept("obj"):
@@ -552,7 +563,7 @@ class UPythonParser(_Parser):
             if self.accept("any"):
                 arity = None
             else:
-                arity = int(self.expect("NUM"))
+                arity = self.number()
             self.expect("]")
             return ClassTag(labels, arity)
         raise self.fail("expected a tag")

@@ -1,11 +1,13 @@
 """Small-step interpreter for the untyped target language.
 
 The heap maps addresses to class and object records. Evaluation is
-deterministic: the redex is selected by structural recursion that walks
-subexpressions left to right (callee before arguments, subject before
-value, supers then constructor then members). Runtime checks fail to a
-cast error; every other dynamic type confusion fails to a pyerror
-carrying the origin label of the offending elimination form.
+deterministic: a step decomposes the term into an evaluation context,
+an explicit stack of frames, and a redex, contracts the redex and
+plugs the result back. `run` keeps the frame stack between steps
+rather than descending from the root each time; neither recurses on
+term depth. Runtime checks fail to a cast error; every other dynamic
+type confusion fails to a pyerror carrying the origin label of the
+offending elimination form.
 """
 
 from __future__ import annotations
@@ -272,63 +274,68 @@ class StepPyError:
 StepResult = Stepped | StepCastError | StepPyError
 
 
-def step(e: UPyExpr, heap: Heap) -> StepResult:
-    """One reduction. The heap is updated in place (allocation, member
-    update); errors discard the surrounding context."""
-    if isinstance(e, UVar):
-        raise OpenTermError(f"free variable {e.name!r} reached evaluation")
+def _open_slot(e: UPyExpr, kids, i: int) -> int:
+    """The first slot of e from i on that is an evaluation position and
+    does not hold a value, or -1 when there is none. Every child slot is
+    an evaluation position, in children() order, except the body of a
+    let or a lambda."""
+    end = (1 if isinstance(e, ULet) else 0 if isinstance(e, ULam)
+           else len(kids))
+    while i < end:
+        if not is_value(kids[i]):
+            return i
+        i += 1
+    return -1
 
-    if isinstance(e, UCheck):
-        if is_value(e.subject):
-            if check(e.subject, heap, e.tag):
-                return Stepped(e.subject, "ECheck1")
-            return StepCastError("ECheck2")
-        inner = step(e.subject, heap)
-        if isinstance(inner, Stepped):
-            return Stepped(UCheck(inner.expr, e.tag), inner.rule)
-        return inner
 
-    if isinstance(e, ULet):
-        if is_value(e.bound):
-            return Stepped(substitute(e.body, {e.name: e.bound}), "ELet")
-        inner = step(e.bound, heap)
-        if isinstance(inner, Stepped):
-            return Stepped(ULet(e.name, inner.expr, e.body), inner.rule)
-        return inner
+def _focus(e: UPyExpr, stack: list) -> UPyExpr:
+    """Decompose e: push the frames (node, kids, i) from e down to its
+    redex, outermost first, where kids is a list of node's children and
+    slot i holds the hole. Return the redex, a node whose evaluation
+    positions all hold values."""
+    while True:
+        kids = e.children()
+        i = _open_slot(e, kids, 0)
+        if i < 0:
+            return e
+        stack.append((e, list(kids), i))
+        e = kids[i]
 
+
+def _plug(stack: list, e: UPyExpr) -> UPyExpr:
+    for node, kids, i in reversed(stack):
+        kids[i] = e
+        e = node.rebuild(kids)
+    return e
+
+
+def _contract(e: UPyExpr, heap: Heap) -> StepResult:
+    """Apply the base rule for redex e; the heap is updated in place
+    (allocation, member update)."""
     if isinstance(e, UApp):
-        if not is_value(e.fn):
-            inner = step(e.fn, heap)
-            if isinstance(inner, Stepped):
-                return Stepped(UApp(inner.expr, e.args, e.label), inner.rule)
-            return inner
-        for i, a in enumerate(e.args):
-            if not is_value(a):
-                inner = step(a, heap)
-                if isinstance(inner, Stepped):
-                    args = e.args[:i] + (inner.expr,) + e.args[i + 1:]
-                    return Stepped(UApp(e.fn, args, e.label), inner.rule)
-                return inner
-        if isinstance(e.fn, ULam):
-            if len(e.fn.params) != len(e.args):
+        fn, args = e.fn, e.args
+        if isinstance(fn, ULam):
+            if len(fn.params) != len(args):
                 return StepPyError(e.label, "EApp3")
-            return Stepped(
-                substitute(e.fn.body, dict(zip(e.fn.params, e.args))),
-                "EApp1")
-        if isinstance(e.fn, UAddr) and e.fn.addr in heap:
-            h = heap[e.fn.addr]
+            return Stepped(substitute(fn.body, dict(zip(fn.params, args))),
+                           "EApp1")
+        if isinstance(fn, UAddr) and fn.addr in heap:
+            h = heap[fn.addr]
             if isinstance(h, ClassH):
-                a2 = heap.alloc(ObjH(e.fn.addr, {}))
-                ctor_call = UApp(h.ctor, (UAddr(a2),) + e.args, e.label)
+                a2 = heap.alloc(ObjH(fn.addr, {}))
+                ctor_call = UApp(h.ctor, (UAddr(a2),) + args, e.label)
                 return Stepped(ULet("_", ctor_call, UAddr(a2)), "EApp2")
         return StepPyError(e.label, "EApp3")
 
+    if isinstance(e, UCheck):
+        if check(e.subject, heap, e.tag):
+            return Stepped(e.subject, "ECheck1")
+        return StepCastError("ECheck2")
+
+    if isinstance(e, ULet):
+        return Stepped(substitute(e.body, {e.name: e.bound}), "ELet")
+
     if isinstance(e, UGet):
-        if not is_value(e.subject):
-            inner = step(e.subject, heap)
-            if isinstance(inner, Stepped):
-                return Stepped(UGet(inner.expr, e.attr, e.label), inner.rule)
-            return inner
         if isinstance(e.subject, UAddr) and e.subject.addr in heap:
             r = lookup(e.subject.addr, heap[e.subject.addr], e.attr, heap,
                        e.label)
@@ -339,50 +346,12 @@ def step(e: UPyExpr, heap: Heap) -> StepResult:
         return StepPyError(e.label, "EGet3")
 
     if isinstance(e, USet):
-        if not is_value(e.subject):
-            inner = step(e.subject, heap)
-            if isinstance(inner, Stepped):
-                return Stepped(USet(inner.expr, e.attr, e.value, e.label),
-                               inner.rule)
-            return inner
-        if not is_value(e.value):
-            inner = step(e.value, heap)
-            if isinstance(inner, Stepped):
-                return Stepped(USet(e.subject, e.attr, inner.expr, e.label),
-                               inner.rule)
-            return inner
         if isinstance(e.subject, UAddr) and e.subject.addr in heap:
             heap[e.subject.addr].members[e.attr] = e.value
             return Stepped(UInt(0), "ESet")
         return StepPyError(e.label, "ESet4")
 
     if isinstance(e, UClass):
-        for i, s in enumerate(e.supers):
-            if not is_value(s):
-                inner = step(s, heap)
-                if isinstance(inner, Stepped):
-                    supers = e.supers[:i] + (inner.expr,) + e.supers[i + 1:]
-                    return Stepped(
-                        UClass(e.name, supers, e.members, e.ctor, e.label),
-                        inner.rule)
-                return inner
-        if not is_value(e.ctor):
-            inner = step(e.ctor, heap)
-            if isinstance(inner, Stepped):
-                return Stepped(
-                    UClass(e.name, e.supers, e.members, inner.expr, e.label),
-                    inner.rule)
-            return inner
-        for i, (l, m) in enumerate(e.members):
-            if not is_value(m):
-                inner = step(m, heap)
-                if isinstance(inner, Stepped):
-                    members = (e.members[:i] + ((l, inner.expr),)
-                               + e.members[i + 1:])
-                    return Stepped(
-                        UClass(e.name, e.supers, members, e.ctor, e.label),
-                        inner.rule)
-                return inner
         super_addrs = []
         for s in e.supers:
             if not (isinstance(s, UAddr) and s.addr in heap
@@ -394,21 +363,50 @@ def step(e: UPyExpr, heap: Heap) -> StepResult:
         a = heap.alloc(ClassH(tuple(super_addrs), dict(e.members), e.ctor))
         return Stepped(UAddr(a), "EClass")
 
+    if isinstance(e, UVar):
+        raise OpenTermError(f"free variable {e.name!r} reached evaluation")
     raise TypeError(f"cannot step {e!r}")
+
+
+def step(e: UPyExpr, heap: Heap) -> StepResult:
+    """One reduction: decompose, contract, plug. Errors discard the
+    surrounding context."""
+    stack = []
+    r = _contract(_focus(e, stack), heap)
+    if isinstance(r, Stepped):
+        return Stepped(_plug(stack, r.expr), r.rule)
+    return r
 
 
 def run(e: UPyExpr, heap: Heap | None = None, budget: int = 10 ** 6,
         on_step=None) -> Outcome:
-    """Iterate step until a value or an error, giving up after budget
-    steps. on_step, if given, is called with (step index, rule name,
-    heap size) after each successful step."""
+    """Reduce until a value or an error, giving up after budget steps.
+    The context stays on the frame stack between steps: a contractum
+    that is a value fills the hole of the top frame, and evaluation goes
+    on at that frame's next open slot, or at its node once it has none.
+    on_step, if given, is called with (step index, rule name, heap size)
+    after each successful step."""
     if heap is None:
         heap = Heap()
+    stack = []
     steps = 0
-    while not is_value(e):
+    while True:
+        if not is_value(e):
+            e = _focus(e, stack)
+        elif not stack:
+            return Value(e, heap, steps)
+        else:
+            node, kids, i = stack.pop()
+            kids[i] = e
+            i = _open_slot(node, kids, i + 1)
+            if i >= 0:
+                stack.append((node, kids, i))
+                e = kids[i]
+                continue
+            e = node.rebuild(kids)
         if steps >= budget:
             return Timeout(steps)
-        r = step(e, heap)
+        r = _contract(e, heap)
         steps += 1
         if isinstance(r, Stepped):
             e = r.expr
@@ -418,4 +416,3 @@ def run(e: UPyExpr, heap: Heap | None = None, budget: int = 10 ** 6,
             return CastError(steps)
         else:
             return PyError(r.label, steps)
-    return Value(e, heap, steps)

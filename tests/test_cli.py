@@ -1,11 +1,16 @@
 """Every CLI command through main(argv), pinned to its exit code."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anthill import cli
 from anthill.cli import ExitStatus, main
+from anthill.generate import gen_native_expr, gen_typed_program
 from anthill.harness import TrialConfig, run_trials
 from anthill.parser import parse_upython
+from anthill.printer import print_anthill_term, print_upython
 from anthill.translate import translate_program
 from anthill.parser import parse_anthill
 
@@ -261,3 +266,62 @@ def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
     assert main(["run", squared]) == ExitStatus.USAGE == 64
     assert capsys.readouterr().err == \
         "error: 1:20: unexpected character '\u00b2'\n"
+
+
+LONG = "1" * 5000   # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["run"], "long.upy", LONG),
+    (["run"], "long.ant", f"let x = {LONG} in x"),
+    (["run"], "check.upy", f"check({LONG}, int)"),
+    (["verify", "--tag", f"fun[{LONG}]"], "lam.upy", "lambda(x): x"),
+], ids=["upy", "ant", "check", "tag"])
+def test_overlong_number_is_a_parse_error(tmp_path, capsys, argv, name,
+                                          text):
+    path = _write(tmp_path, name, text)
+    assert main([argv[0], path, *argv[1:]]) == ExitStatus.USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1:")
+    assert err.endswith(": number of 5000 digits is too long\n")
+
+
+# -------------------------------------------------------------- exit codes
+
+DOCUMENTED = {0, 1, 2, 3, 4, 5, 64}
+_PIECES = st.sampled_from([
+    "let", "in", "fun", "class", "obj", "lambda", "check", "int", "dyn",
+    "pyobj", "HOLE", "->", *"(){}[],:.=!@", " ", "\n", "#", "x", "y",
+    "_", "$", "0", "7", LONG,
+])
+
+
+@st.composite
+def _sources(draw):
+    """A suffix and a text: a printed typed program (.ant), its
+    translation or native code (.upy) with a span replaced, or pieces."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    suffix = draw(st.sampled_from([".ant", ".upy"]))
+    if draw(st.booleans()):
+        return suffix, "".join(draw(st.lists(_PIECES, max_size=30)))
+    if suffix == ".upy" and rng.random() < 0.5:
+        text = print_upython(gen_native_expr(rng, (), 4))
+    else:
+        term = gen_typed_program(rng, 3)[0]
+        text = (print_anthill_term(term) if suffix == ".ant"
+                else print_upython(translate_program(term)[0]))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 8)))
+    return suffix, text[:i] + "".join(draw(st.lists(_PIECES, max_size=2))) \
+        + text[j:]
+
+
+@settings(max_examples=300, deadline=None)
+@example((".upy", LONG))
+@example((".ant", LONG))
+@given(_sources())
+def test_run_exit_code_is_documented(tmp_path_factory, source):
+    suffix, text = source
+    path = tmp_path_factory.getbasetemp() / f"prog{suffix}"
+    path.write_text(text)
+    assert main(["run", str(path), "--budget", "200"]) in DOCUMENTED

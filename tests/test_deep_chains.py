@@ -1,15 +1,17 @@
 """Stack use of the structural traversals: a 600-deep chain of a
 single-child form fits under the default recursion limit only while
-each traversal takes at most one Python frame per level of nesting."""
+each traversal takes at most one Python frame per level of nesting.
+The interpreter takes none: a redex under 5,000 frames steps and runs."""
 
 import dataclasses
 
 import pytest
 
 from anthill.contexts import plug, validate_context
-from anthill.runtime import substitute
-from anthill.upython import PYOBJ, UCheck, UGet, UHole, UInt, ULam, ULet, \
-    UPyExpr, UVar
+from anthill.runtime import ClassH, Heap, ObjH, Stepped, Value, run, step, \
+    substitute
+from anthill.upython import PYOBJ, UAddr, UApp, UCheck, UClass, UGet, UHole, \
+    UInt, ULam, ULet, UPyExpr, USet, UVar
 
 DEPTH = 600
 
@@ -21,8 +23,8 @@ SINGLE_CHILD_FORMS = {
 }
 
 
-def _chain(wrap, leaf):
-    for _ in range(DEPTH):
+def _chain(wrap, leaf, depth=DEPTH):
+    for _ in range(depth):
         leaf = wrap(leaf)
     return leaf
 
@@ -50,3 +52,46 @@ def test_deep_chains_substitute_plug_and_validate(form):
     ctx = _chain(wrap, UHole())
     validate_context(ctx)
     assert _shape(plug(ctx, filler)) == expected
+
+
+REDEX_DEPTH = 5000
+ID = ULam(("x",), UVar("x"))
+CTOR = ULam(("self",), UInt(0))
+OBJ = UAddr(1)   # an object of the class at address 0, see _heap
+
+# Each form puts its argument in one evaluation position, and once that
+# holds a value v the form takes one step to the value it is given for:
+# (wrap, the leaf redex, its rule, the value of the whole chain).
+EVALUATION_POSITIONS = {
+    "let-bound": (lambda e: ULet("y", e, UVar("y")),
+                  UCheck(UInt(7), PYOBJ), "ECheck1", UInt(7)),
+    "app-callee": (lambda e: UApp(e, (ID,)),
+                   UCheck(ID, PYOBJ), "ECheck1", ID),
+    "app-argument": (lambda e: UApp(ID, (e,)),
+                     UCheck(UInt(7), PYOBJ), "ECheck1", UInt(7)),
+    "check-subject": (lambda e: UCheck(e, PYOBJ),
+                      UCheck(UInt(7), PYOBJ), "ECheck1", UInt(7)),
+    "set-value": (lambda e: USet(OBJ, "m", e),
+                  UCheck(UInt(7), PYOBJ), "ECheck1", UInt(0)),
+    "class-super": (lambda e: UClass("C", (e,), (), CTOR),
+                    UClass("C", (), (), CTOR), "EClass",
+                    UAddr(2 + REDEX_DEPTH)),
+}
+
+
+def _heap():
+    heap = Heap()
+    heap.alloc(ClassH((), {}, CTOR))
+    heap.alloc(ObjH(0))
+    return heap
+
+
+@pytest.mark.parametrize("position", sorted(EVALUATION_POSITIONS))
+def test_deep_redex_steps_and_runs(position):
+    wrap, leaf, rule, value = EVALUATION_POSITIONS[position]
+    term = _chain(wrap, leaf, REDEX_DEPTH)
+    r = step(term, _heap())
+    assert isinstance(r, Stepped) and r.rule == rule
+    out = run(term, _heap())
+    assert isinstance(out, Value) and out.steps == REDEX_DEPTH + 1
+    assert _shape(out.value) == _shape(value)

@@ -188,6 +188,29 @@ def test_non_decimal_digit_is_an_unexpected_character():
     assert parse_upython("\u0663") == UInt(3)
 
 
+LONG = "9" * 5000   # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("parse, text, col", [
+    (parse_anthill, f"let x = {LONG} in x", 9),
+    (parse_upython, f"f(1,\n  {LONG})", 3),
+    (lambda t: parse_upython(t, allow_addresses=True), f"@{LONG}", 2),
+    (parse_tag, f"fun[{LONG}]", 5),
+    (parse_tag, f"class{{}}[{LONG}]", 9),
+], ids=["anthill", "upython", "address", "fun-tag", "class-tag"])
+def test_overlong_number_is_a_parse_error(parse, text, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    line = text.count("\n") + 1
+    assert str(err.value) == \
+        f"{line}:{col}: number of 5000 digits is too long"
+
+
+def test_number_as_long_as_int_converts_parses():
+    digits = "9" * 4300
+    assert parse_upython(digits) == UInt(int(digits))
+
+
 @pytest.mark.parametrize("parse", [parse_anthill, parse_anthill_type,
                                    parse_upython])
 def test_deep_nesting_is_a_parse_error(parse):

@@ -1,12 +1,17 @@
 """Small-step interpreter: reduction rules, evaluation order, error
-outcomes, and agreement of the heap metafunctions with their naive
-transcriptions."""
+outcomes, agreement of the heap metafunctions with their naive
+transcriptions, and agreement of iterated step with run."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from anthill.parser import parse_upython
+from anthill import harness
+from anthill.contexts import plug
+from anthill.generate import gen_typed_program
+from anthill.parser import parse_anthill, parse_upython
+from anthill.printer import print_upython
 from anthill.runtime import (
     CastError,
     ClassH,
@@ -17,6 +22,8 @@ from anthill.runtime import (
     ObjH,
     OpenTermError,
     PyError,
+    StepCastError,
+    StepPyError,
     Timeout,
     Value,
     check,
@@ -44,7 +51,9 @@ from anthill.upython import (
     ULet,
     USet,
     UVar,
+    is_value,
 )
+from anthill.translate import translate_program
 
 from helpers import (
     build_diamond_heap,
@@ -242,3 +251,81 @@ def test_check_examples():
     assert not check(join, heap, FunTag(1))
     # and obj checks, since classes have attributes too
     assert check(join, heap, ObjTag({"m", "g"}))
+
+
+# ---------------------------------------------------------------------------
+# stepping and running: two drivers of one decomposition
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+AGREE_BUDGET = 2_000
+
+
+def _by_stepping(e):
+    """Iterate step to an outcome: its description and the rules fired."""
+    heap, rules = Heap(), []
+    while not is_value(e):
+        if len(rules) >= AGREE_BUDGET:
+            return ("timeout", len(rules)), rules
+        r = step(e, heap)
+        if isinstance(r, StepCastError):
+            return ("casterror", len(rules) + 1), rules
+        if isinstance(r, StepPyError):
+            return ("pyerror", len(rules) + 1, r.label), rules
+        rules.append(r.rule)
+        e = r.expr
+    return ("value", len(rules), print_upython(alpha_normalize(e)),
+            len(heap)), rules
+
+
+def _by_running(e):
+    rules = []
+    out = run(e, budget=AGREE_BUDGET,
+              on_step=lambda i, rule, size: rules.append(rule))
+    if isinstance(out, Value):
+        return ("value", out.steps, print_upython(alpha_normalize(out.value)),
+                len(out.heap)), rules
+    if isinstance(out, CastError):
+        return ("casterror", out.steps), rules
+    if isinstance(out, PyError):
+        return ("pyerror", out.steps, out.label), rules
+    return ("timeout", out.steps), rules
+
+
+def _corpus():
+    lib = translate_program(
+        parse_anthill((PROGRAMS / "typed_call_lib.ant").read_text()))[0]
+    for path in sorted(PROGRAMS.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".ant":
+            yield translate_program(parse_anthill(text))[0]
+        elif "HOLE" in text:
+            yield plug(parse_upython(text, allow_hole=True), lib)
+        else:
+            yield parse_upython(text)
+
+
+def _fuzz_programs(monkeypatch, seed, count):
+    programs = []
+
+    def capture(e, **kwargs):
+        programs.append(e)
+        return Timeout(0)
+    monkeypatch.setattr(harness, "run", capture)
+    for i in range(count):
+        harness.soundness_trial(harness.trial_seed(seed, i))
+    monkeypatch.undo()
+    return programs
+
+
+def test_stepping_and_running_agree(monkeypatch):
+    rng = random.Random(8086)
+    omega = parse_upython("(lambda(x): x(x))(lambda(x): x(x))")
+    programs = [omega, *_corpus(), *_fuzz_programs(monkeypatch, 163, 600),
+                *(translate_program(gen_typed_program(rng, 3 + i % 4)[0])[0]
+                  for i in range(240))]
+    kinds = set()
+    for e in programs:
+        outcome, rules = _by_running(e)
+        assert _by_stepping(e) == (outcome, rules)
+        kinds.add(outcome[0])
+    assert kinds == {"value", "casterror", "pyerror", "timeout"}
