@@ -61,22 +61,19 @@ def _detect_language(path: str, override: str | None) -> str:
         f"cannot infer language from {path!r}; pass --lang"))
 
 
-def _finish(outcome, quiet: bool = False) -> int:
+def _finish(outcome) -> int:
     if isinstance(outcome, Value):
         print(print_upython(outcome.value))
         return int(ExitStatus.OK)
     if isinstance(outcome, CastError):
-        if not quiet:
-            print(f"casterror after {outcome.steps} steps")
+        print(f"casterror after {outcome.steps} steps")
         return int(ExitStatus.CAST_ERROR)
     if isinstance(outcome, Timeout):
-        if not quiet:
-            print(f"timeout after {outcome.steps} steps")
+        print(f"timeout after {outcome.steps} steps")
         return int(ExitStatus.TIMEOUT)
     assert isinstance(outcome, PyError)
     origin = "translated" if outcome.label is Label.TRANSLATED else "native"
-    if not quiet:
-        print(f"pyerror({origin}) after {outcome.steps} steps")
+    print(f"pyerror({origin}) after {outcome.steps} steps")
     if outcome.label is Label.TRANSLATED:
         return int(ExitStatus.TRANSLATED_ERROR)
     return int(ExitStatus.NATIVE_ERROR)
@@ -93,27 +90,13 @@ def _trace_printer(args):
 
 
 def cmd_check(args) -> int:
-    try:
-        term = parse_anthill(_read(args.file))
-        _, ty = translate_program(term)
-    except ParseError as exc:
-        return _usage_error(str(exc))
-    except StaticTypeError as exc:
-        print(f"static type error: {exc}", file=sys.stderr)
-        return int(ExitStatus.STATIC_ERROR)
+    _, ty = translate_program(parse_anthill(_read(args.file)))
     print(print_anthill_type(ty))
     return int(ExitStatus.OK)
 
 
 def cmd_translate(args) -> int:
-    try:
-        term = parse_anthill(_read(args.file))
-        target, ty = translate_program(term)
-    except ParseError as exc:
-        return _usage_error(str(exc))
-    except StaticTypeError as exc:
-        print(f"static type error: {exc}", file=sys.stderr)
-        return int(ExitStatus.STATIC_ERROR)
+    target, ty = translate_program(parse_anthill(_read(args.file)))
     print(print_upython(target))
     if args.show_type:
         print(f"type: {print_anthill_type(ty)}", file=sys.stderr)
@@ -122,31 +105,17 @@ def cmd_translate(args) -> int:
 
 def cmd_run(args) -> int:
     lang = _detect_language(args.file, args.lang)
-    try:
-        if lang == "anthill":
-            term = parse_anthill(_read(args.file))
-            program, _ = translate_program(term)
-        else:
-            program = parse_upython(_read(args.file))
-    except ParseError as exc:
-        return _usage_error(str(exc))
-    except StaticTypeError as exc:
-        print(f"static type error: {exc}", file=sys.stderr)
-        return int(ExitStatus.STATIC_ERROR)
-    try:
-        outcome = run(program, budget=args.budget,
-                      on_step=_trace_printer(args))
-    except OpenTermError as exc:
-        return _usage_error(str(exc))
-    return _finish(outcome)
+    if lang == "anthill":
+        program, _ = translate_program(parse_anthill(_read(args.file)))
+    else:
+        program = parse_upython(_read(args.file))
+    return _finish(run(program, budget=args.budget,
+                       on_step=_trace_printer(args)))
 
 
 def cmd_verify(args) -> int:
-    try:
-        program = parse_upython(_read(args.file))
-        tag = parse_tag(args.tag)
-    except ParseError as exc:
-        return _usage_error(str(exc))
+    program = parse_upython(_read(args.file))
+    tag = parse_tag(args.tag)
     if verifies((), {}, program, tag):
         print(f"verified at {args.tag}")
         return int(ExitStatus.OK)
@@ -155,24 +124,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        term = parse_anthill(_read(args.typed))
-        context = parse_upython(_read(args.context), allow_hole=True)
-        validate_context(context)
-        target, _ = translate_program(term)
-    except ParseError as exc:
-        return _usage_error(str(exc))
-    except ContextError as exc:
-        return _usage_error(f"bad context: {exc}")
-    except StaticTypeError as exc:
-        print(f"static type error: {exc}", file=sys.stderr)
-        return int(ExitStatus.STATIC_ERROR)
-    try:
-        outcome = run(plug(context, target), budget=args.budget,
-                      on_step=_trace_printer(args))
-    except OpenTermError as exc:
-        return _usage_error(str(exc))
-    return _finish(outcome)
+    term = parse_anthill(_read(args.typed))
+    context = parse_upython(_read(args.context), allow_hole=True)
+    validate_context(context)
+    target, _ = translate_program(term)
+    return _finish(run(plug(context, target), budget=args.budget,
+                       on_step=_trace_printer(args)))
 
 
 def cmd_fuzz(args) -> int:
@@ -258,6 +215,13 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else int(ExitStatus.USAGE)
+    except (ParseError, OpenTermError) as exc:
+        return _usage_error(str(exc))
+    except ContextError as exc:
+        return _usage_error(f"bad context: {exc}")
+    except StaticTypeError as exc:
+        print(f"static type error: {exc}", file=sys.stderr)
+        return int(ExitStatus.STATIC_ERROR)
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return int(ExitStatus.INTERNAL)

@@ -9,8 +9,6 @@ plugged expression by design.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 from .upython import (
     INT_TAG,
     NATIVE,
@@ -69,10 +67,14 @@ def validate_context(ctx: CodeContext) -> None:
 
 
 def plug(ctx: CodeContext, e: UPyExpr) -> UPyExpr:
-    """Replace the hole with e, verbatim."""
-    if isinstance(ctx, UHole):
-        return e
-    return ctx.rebuild(tuple(map(plug, ctx.children(), repeat(e))))
+    """Replace the hole with e, verbatim. ctx must be a valid context,
+    as validate_context checks and both callers ensure; one with no hole
+    raises TagError. Only the nodes on the path to the hole are rebuilt."""
+    for node, i in reversed(_hole_path(ctx)):
+        kids = list(node.children())
+        kids[i] = e
+        e = node.rebuild(tuple(kids))
+    return e
 
 
 def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, int]]:

@@ -68,17 +68,7 @@ from .upython import (
 BINDER_POOL = ("x", "y", "z", "w", "f", "g", "t", "u")
 LABEL_POOL = ("a", "b", "c", "m", "n")
 TYPE_NAME_POOL = ("P", "Q", "R", "V")
-
-
-@dataclass(frozen=True)
-class TermGenConfig:
-    max_args: int = 2
-    max_attrs: int = 2
-    int_lo: int = 0
-    int_hi: int = 9
-
-
-DEFAULT_TERM_CONFIG = TermGenConfig()
+MAX_ARGS = MAX_ATTRS = 2
 
 
 def _openness(rng: random.Random):
@@ -89,8 +79,7 @@ def _labels(rng: random.Random, count: int) -> list[str]:
     return rng.sample(LABEL_POOL, count)
 
 
-def gen_type(rng: random.Random, depth: int,
-             cfg: TermGenConfig = DEFAULT_TERM_CONFIG) -> AnthillType:
+def gen_type(rng: random.Random, depth: int) -> AnthillType:
     if depth <= 0:
         return INT if rng.random() < 0.6 else DYN
     kind = rng.choices(("dyn", "int", "fun", "obj", "class"),
@@ -100,23 +89,23 @@ def gen_type(rng: random.Random, depth: int,
     if kind == "int":
         return INT
     if kind == "fun":
-        params = tuple(gen_type(rng, depth - 1, cfg)
-                       for _ in range(rng.randint(0, cfg.max_args)))
-        return Function(params, gen_type(rng, depth - 1, cfg))
+        params = tuple(gen_type(rng, depth - 1)
+                       for _ in range(rng.randint(0, MAX_ARGS)))
+        return Function(params, gen_type(rng, depth - 1))
     if kind == "obj":
-        labels = _labels(rng, rng.randint(0, cfg.max_attrs))
-        entries = [(l, gen_type(rng, depth - 1, cfg)) for l in labels]
+        labels = _labels(rng, rng.randint(0, MAX_ATTRS))
+        entries = [(l, gen_type(rng, depth - 1)) for l in labels]
         return Object(rng.choice(TYPE_NAME_POOL), _openness(rng),
                       AttrTypes(entries))
     # class: keep declared class members and instance members disjoint so
     # constructed objects carry the values their declared types promise
     total = _labels(rng, rng.randint(0, min(len(LABEL_POOL),
-                                            2 * cfg.max_attrs)))
+                                            2 * MAX_ATTRS)))
     split = rng.randint(0, len(total))
-    class_entries = [(l, gen_type(rng, depth - 1, cfg)) for l in total[:split]]
-    inst_entries = [(l, gen_type(rng, depth - 1, cfg)) for l in total[split:]]
-    ctor_params = tuple(gen_type(rng, depth - 1, cfg)
-                        for _ in range(rng.randint(0, cfg.max_args)))
+    class_entries = [(l, gen_type(rng, depth - 1)) for l in total[:split]]
+    inst_entries = [(l, gen_type(rng, depth - 1)) for l in total[split:]]
+    ctor_params = tuple(gen_type(rng, depth - 1)
+                        for _ in range(rng.randint(0, MAX_ARGS)))
     return Class(rng.choice(TYPE_NAME_POOL), _openness(rng),
                  AttrTypes(class_entries), AttrTypes(inst_entries),
                  ctor_params)
@@ -138,8 +127,7 @@ def _assign_chain(receiver: str, assigns, result: AnthillTerm) -> AnthillTerm:
     return body
 
 
-def _leaf_object(goal: Object, rng: random.Random,
-                 cfg: TermGenConfig) -> AnthillTerm:
+def _leaf_object(goal: Object, rng: random.Random) -> AnthillTerm:
     # a nullary class whose constructor installs every declared attribute
     params = tuple((f"v{i}", ty) for i, (_, ty) in enumerate(goal.attrs.items()))
     assigns = [(label, Var(f"v{i}"))
@@ -147,12 +135,11 @@ def _leaf_object(goal: Object, rng: random.Random,
     ctor = Constructor("self", params, _assign_chain("self", assigns, IntLit(0)))
     cls = ClassDecl(goal.name, goal.openness, AttrTypes(()), goal.attrs,
                     (), (), (), ctor)
-    args = tuple(leaf_term(rng, ty, cfg) for _, ty in goal.attrs.items())
+    args = tuple(leaf_term(rng, ty) for _, ty in goal.attrs.items())
     return App(cls, args)
 
 
-def _leaf_class(goal: Class, rng: random.Random,
-                cfg: TermGenConfig) -> AnthillTerm:
+def _leaf_class(goal: Class, rng: random.Random) -> AnthillTerm:
     methods = []
     fields = []
     for label, ty in goal.class_attrs.items():
@@ -160,16 +147,16 @@ def _leaf_class(goal: Class, rng: random.Random,
             mparams = tuple((f"v{i}", p)
                             for i, p in enumerate(ty.params[1:]))
             methods.append(Method(label, "self", mparams, ty.ret,
-                                  leaf_term(rng, ty.ret, cfg)))
+                                  leaf_term(rng, ty.ret)))
         else:
-            fields.append((label, leaf_term(rng, ty, cfg)))
+            fields.append((label, leaf_term(rng, ty)))
     cparams = tuple((f"a{i}", ty) for i, ty in enumerate(goal.ctor_params))
     assigns = []
     for label, ty in goal.instance_attrs.items():
         source = next((Var(f"a{i}") for i, pty in enumerate(goal.ctor_params)
                        if pty == ty), None)
         assigns.append((label, source if source is not None
-                        else leaf_term(rng, ty, cfg)))
+                        else leaf_term(rng, ty)))
     ctor = Constructor("self", cparams,
                        _assign_chain("self", assigns, IntLit(0)))
     return ClassDecl(goal.name, goal.openness, goal.class_attrs,
@@ -177,34 +164,32 @@ def _leaf_class(goal: Class, rng: random.Random,
                      ctor)
 
 
-def leaf_term(rng: random.Random, goal: AnthillType,
-              cfg: TermGenConfig = DEFAULT_TERM_CONFIG) -> AnthillTerm:
+def leaf_term(rng: random.Random, goal: AnthillType) -> AnthillTerm:
     """A closed term of exactly the goal type, with no further recursion."""
     if isinstance(goal, Dyn):
         return App(Fun((("z", DYN),), DYN, Var("z")),
-                   (IntLit(rng.randint(cfg.int_lo, cfg.int_hi)),))
+                   (IntLit(rng.randint(0, 9)),))
     if isinstance(goal, Function):
         params = tuple((f"v{i}", ty) for i, ty in enumerate(goal.params))
-        return Fun(params, goal.ret, leaf_term(rng, goal.ret, cfg))
+        return Fun(params, goal.ret, leaf_term(rng, goal.ret))
     if isinstance(goal, Object):
-        return _leaf_object(goal, rng, cfg)
+        return _leaf_object(goal, rng)
     if isinstance(goal, Class):
-        return _leaf_class(goal, rng, cfg)
-    return IntLit(rng.randint(cfg.int_lo, cfg.int_hi))
+        return _leaf_class(goal, rng)
+    return IntLit(rng.randint(0, 9))
 
 
 TypeEnv = dict[str, AnthillType]
 
 
 def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
-                   depth: int,
-                   cfg: TermGenConfig = DEFAULT_TERM_CONFIG) -> AnthillTerm:
+                   depth: int) -> AnthillTerm:
     """A term of exactly the goal type under env, recursion-bounded."""
     candidates = [name for name, ty in env.items() if ty == goal]
     if depth <= 0:
         if candidates and rng.random() < 0.5:
             return Var(rng.choice(candidates))
-        return leaf_term(rng, goal, cfg)
+        return leaf_term(rng, goal)
 
     menu: list[tuple[str, int]] = [("leaf", 1), ("let", 2), ("app_fun", 2),
                                    ("get", 1)]
@@ -226,52 +211,51 @@ def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
     if kind == "var":
         return Var(rng.choice(candidates))
     if kind == "leaf":
-        return leaf_term(rng, goal, cfg)
+        return leaf_term(rng, goal)
     if kind == "let":
-        bound_ty = gen_type(rng, depth - 1, cfg)
+        bound_ty = gen_type(rng, depth - 1)
         name = rng.choice(BINDER_POOL)
-        bound = gen_typed_term(rng, env, bound_ty, depth - 1, cfg)
-        body = gen_typed_term(rng, {**env, name: bound_ty}, goal,
-                              depth - 1, cfg)
+        bound = gen_typed_term(rng, env, bound_ty, depth - 1)
+        body = gen_typed_term(rng, {**env, name: bound_ty}, goal, depth - 1)
         return Let(name, bound, body)
     if kind == "app_fun":
-        arg_tys = tuple(gen_type(rng, depth - 1, cfg)
-                        for _ in range(rng.randint(0, cfg.max_args)))
-        fn = gen_typed_term(rng, env, Function(arg_tys, goal), depth - 1, cfg)
-        args = tuple(gen_typed_term(rng, env, ty, depth - 1, cfg)
+        arg_tys = tuple(gen_type(rng, depth - 1)
+                        for _ in range(rng.randint(0, MAX_ARGS)))
+        fn = gen_typed_term(rng, env, Function(arg_tys, goal), depth - 1)
+        args = tuple(gen_typed_term(rng, env, ty, depth - 1)
                      for ty in arg_tys)
         return App(fn, args)
     if kind == "app_dyn":
-        fn = gen_typed_term(rng, env, DYN, depth - 1, cfg)
-        args = tuple(gen_typed_term(rng, env, gen_type(rng, depth - 1, cfg),
-                                    depth - 1, cfg)
-                     for _ in range(rng.randint(0, cfg.max_args)))
+        fn = gen_typed_term(rng, env, DYN, depth - 1)
+        args = tuple(gen_typed_term(rng, env, gen_type(rng, depth - 1),
+                                    depth - 1)
+                     for _ in range(rng.randint(0, MAX_ARGS)))
         return App(fn, args)
     if kind == "get":
         label = rng.choice(LABEL_POOL)
         entries = [(label, goal)]
         extra = rng.choice([l for l in LABEL_POOL if l != label])
         if rng.random() < 0.4:
-            entries.append((extra, gen_type(rng, depth - 1, cfg)))
+            entries.append((extra, gen_type(rng, depth - 1)))
         subject_ty = Object(rng.choice(TYPE_NAME_POOL), _openness(rng),
                             AttrTypes(entries))
-        subject = gen_typed_term(rng, env, subject_ty, depth - 1, cfg)
+        subject = gen_typed_term(rng, env, subject_ty, depth - 1)
         return Get(subject, label)
     if kind == "get_check":
-        subject = gen_typed_term(rng, env, DYN, depth - 1, cfg)
+        subject = gen_typed_term(rng, env, DYN, depth - 1)
         return Get(subject, rng.choice(LABEL_POOL))
     if kind == "set":
         label = rng.choice(LABEL_POOL)
-        value_ty = gen_type(rng, depth - 1, cfg)
+        value_ty = gen_type(rng, depth - 1)
         subject_ty = Object(rng.choice(TYPE_NAME_POOL), _openness(rng),
                             AttrTypes([(label, value_ty)]))
-        subject = gen_typed_term(rng, env, subject_ty, depth - 1, cfg)
-        value = gen_typed_term(rng, env, value_ty, depth - 1, cfg)
+        subject = gen_typed_term(rng, env, subject_ty, depth - 1)
+        value = gen_typed_term(rng, env, value_ty, depth - 1)
         return Set(subject, label, value)
     if kind == "set_check":
-        subject = gen_typed_term(rng, env, DYN, depth - 1, cfg)
-        value = gen_typed_term(rng, env, gen_type(rng, depth - 1, cfg),
-                               depth - 1, cfg)
+        subject = gen_typed_term(rng, env, DYN, depth - 1)
+        value = gen_typed_term(rng, env, gen_type(rng, depth - 1),
+                               depth - 1)
         return Set(subject, rng.choice(LABEL_POOL), value)
     if kind == "fun":
         names = rng.sample(BINDER_POOL, len(goal.params)) \
@@ -280,16 +264,16 @@ def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
         params = tuple(zip(names, goal.params))
         inner = {**env, **dict(params)}
         return Fun(params, goal.ret,
-                   gen_typed_term(rng, inner, goal.ret, depth - 1, cfg))
+                   gen_typed_term(rng, inner, goal.ret, depth - 1))
     if kind == "construct":
-        return _gen_construct(rng, env, goal, depth, cfg)
+        return _gen_construct(rng, env, goal, depth)
     if kind == "class_decl":
-        return _gen_class_decl(rng, env, goal, depth, cfg)
+        return _gen_class_decl(rng, env, goal, depth)
     raise AssertionError(kind)
 
 
 def _gen_construct(rng: random.Random, env: TypeEnv, goal: Object,
-                   depth: int, cfg: TermGenConfig) -> AnthillTerm:
+                   depth: int) -> AnthillTerm:
     """Object goal met by calling an inline class declaration.
 
     Each goal attribute is realized either as an instance attribute the
@@ -322,8 +306,8 @@ def _gen_construct(rng: random.Random, env: TypeEnv, goal: Object,
         inner = {**env, "self": inst, **dict(mparams)}
         built_methods.append(Method(label, "self", mparams, ty.ret,
                                     gen_typed_term(rng, inner, ty.ret,
-                                                   depth - 1, cfg)))
-    built_fields = [(label, gen_typed_term(rng, env, ty, depth - 1, cfg))
+                                                   depth - 1)))
+    built_fields = [(label, gen_typed_term(rng, env, ty, depth - 1))
                     for label, ty in fields_plan]
 
     cparams = tuple((f"a{i}", ty) for i, (_, ty) in enumerate(inst_entries))
@@ -335,13 +319,13 @@ def _gen_construct(rng: random.Random, env: TypeEnv, goal: Object,
     cls = ClassDecl(goal.name, goal.openness, AttrTypes(class_entries),
                     AttrTypes(inst_entries), (), tuple(built_methods),
                     tuple(built_fields), ctor)
-    args = tuple(gen_typed_term(rng, env, ty, depth - 1, cfg)
+    args = tuple(gen_typed_term(rng, env, ty, depth - 1)
                  for _, ty in inst_entries)
     return App(cls, args)
 
 
 def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
-                    depth: int, cfg: TermGenConfig) -> AnthillTerm:
+                    depth: int) -> AnthillTerm:
     inst = instance_type(goal)
 
     # optionally inherit a subset of the declared class members
@@ -352,12 +336,12 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
         if picked:
             super_ty = Class(rng.choice(TYPE_NAME_POOL), _openness(rng),
                              AttrTypes(picked), AttrTypes(()), ())
-            supers.append(gen_typed_term(rng, env, super_ty, depth - 1, cfg))
+            supers.append(gen_typed_term(rng, env, super_ty, depth - 1))
             inherited = {label for label, _ in picked}
     if depth >= 2 and rng.random() < 0.05:
         # an opaque super: statically fine, fails the class-tag cast at
         # run time unless it happens to be a class
-        supers.append(gen_typed_term(rng, env, DYN, depth - 1, cfg))
+        supers.append(gen_typed_term(rng, env, DYN, depth - 1))
 
     methods = []
     fields = []
@@ -370,17 +354,16 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
             inner = {**env, "self": inst, **dict(mparams)}
             methods.append(Method(label, "self", mparams, ty.ret,
                                   gen_typed_term(rng, inner, ty.ret,
-                                                 depth - 1, cfg)))
+                                                 depth - 1)))
         else:
-            fields.append((label, gen_typed_term(rng, env, ty,
-                                                 depth - 1, cfg)))
+            fields.append((label, gen_typed_term(rng, env, ty, depth - 1)))
     taken = set(goal.class_attrs.names()) | set(goal.instance_attrs.names())
     free = [l for l in LABEL_POOL if l not in taken]
     if free and rng.random() < 0.2:
         # an undeclared extra member is allowed
         fields.append((rng.choice(free),
-                       gen_typed_term(rng, env, gen_type(rng, depth - 1, cfg),
-                                      depth - 1, cfg)))
+                       gen_typed_term(rng, env, gen_type(rng, depth - 1),
+                                      depth - 1)))
 
     cparams = tuple((f"a{i}", ty) for i, ty in enumerate(goal.ctor_params))
     cenv = {**env, "self": DYN, **dict(cparams)}
@@ -388,7 +371,7 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
     for label, ty in goal.instance_attrs.items():
         source = next((Var(name) for name, pty in cparams if pty == ty), None)
         if source is None:
-            source = gen_typed_term(rng, cenv, ty, depth - 1, cfg)
+            source = gen_typed_term(rng, cenv, ty, depth - 1)
         assigns.append((label, source))
     ctor = Constructor("self", cparams,
                        _assign_chain("self", assigns, IntLit(0)))
@@ -398,12 +381,11 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
                      tuple(fields), ctor)
 
 
-def gen_typed_program(rng: random.Random, depth: int,
-                      cfg: TermGenConfig = DEFAULT_TERM_CONFIG
-                      ) -> tuple[AnthillTerm, AnthillType]:
+def gen_typed_program(rng: random.Random,
+                      depth: int) -> tuple[AnthillTerm, AnthillType]:
     """A closed well-typed term together with its type."""
-    goal = gen_type(rng, max(1, depth // 2), cfg)
-    return gen_typed_term(rng, {}, goal, depth, cfg), goal
+    goal = gen_type(rng, max(1, depth // 2))
+    return gen_typed_term(rng, {}, goal, depth), goal
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,11 @@ is a bug in this package, not a counterexample, and raises.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .contexts import plug, type_context, validate_context
 from .core import DYN, tag_of
-from .generate import (
-    TermGenConfig,
-    gen_type,
-    gen_typed_term,
-    gen_untyped_context,
-)
+from .generate import gen_type, gen_typed_term, gen_untyped_context
 from .printer import print_anthill_term, print_anthill_type, print_tag, \
     print_upython
 from .runtime import CastError, PyError, Timeout, Value, run
@@ -44,7 +39,6 @@ class TrialConfig:
     term_depth: int = 5
     ctx_depth: int = 5
     budget: int = 10_000
-    gen: TermGenConfig = field(default_factory=TermGenConfig)
 
 
 @dataclass(frozen=True)
@@ -76,8 +70,8 @@ def soundness_trial(seed: int, config: TrialConfig = TrialConfig()
     validate_context(ctx.expr)
 
     env = {name: DYN for name in ctx.binders}
-    goal = gen_type(rng, max(1, config.term_depth // 2), config.gen)
-    term = gen_typed_term(rng, env, goal, config.term_depth, config.gen)
+    goal = gen_type(rng, max(1, config.term_depth // 2))
+    term = gen_typed_term(rng, env, goal, config.term_depth)
     target, term_ty = translate_term(env, term)
 
     report = TrialReport(

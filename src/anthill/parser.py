@@ -42,6 +42,7 @@ from .core import (
     ClassDecl,
     Constructor,
     Fun,
+    Function,
     Get,
     Let,
     Method,
@@ -212,6 +213,20 @@ class _Parser:
             raise self.fail("the wildcard _ cannot be referenced", pos)
         return name
 
+    def listed(self, close: str = ")", lead: bool = False):
+        """Yield once per item of a comma-separated list, for the caller
+        to read the item, and consume close after the last. With lead,
+        an item was read already, so the first needs a comma. Items are
+        read in the caller's frame: a callback would cost one more frame
+        per level of nesting, so nested calls and function types would
+        overflow the stack sooner."""
+        while not self.at(close):
+            if lead:
+                self.expect(",")
+            lead = True
+            yield
+        self.next()
+
 
 # ---------------------------------------------------------------------------
 # source language
@@ -239,34 +254,36 @@ class AnthillParser(_Parser):
     def fun_term(self) -> AnthillTerm:
         self.expect("fun")
         self.expect("(")
-        params = self.params()
-        self.expect(")")
+        params = []
+        for _ in self.listed():
+            params.append(self.param())
         self.expect("->")
         ret = self.type_()
         self.expect(":")
         body = self.term()
-        return Fun(params, ret, body)
+        return Fun(tuple(params), ret, body)
 
-    def params(self) -> tuple:
+    def param(self) -> tuple[str, AnthillType]:
+        name = self.binder()
+        self.expect(":")
+        return name, self.type_()
+
+    def receiver_params(self) -> tuple[str, tuple]:
+        """The parenthesized receiver and parameters of a meth or ctor."""
+        self.expect("(")
+        receiver = self.binder()
         params = []
-        while not self.at(")"):
-            if params:
-                self.expect(",")
-            name = self.binder()
-            self.expect(":")
-            params.append((name, self.type_()))
-        return tuple(params)
+        for _ in self.listed(lead=True):
+            params.append(self.param())
+        return receiver, tuple(params)
 
     def class_term(self) -> AnthillTerm:
         self.expect("class")
         name = self.ident("class name")
         self.expect("(")
         supers = []
-        while not self.at(")"):
-            if supers:
-                self.expect(",")
+        for _ in self.listed():
             supers.append(self.term())
-        self.expect(")")
         self.expect("[")
         openness = self.openness()
         self.expect(";")
@@ -305,47 +322,27 @@ class AnthillParser(_Parser):
 
     def meth_term(self, label: str) -> Method:
         self.expect("meth")
-        self.expect("(")
-        receiver = self.binder()
-        params = []
-        while not self.at(")"):
-            self.expect(",")
-            pname = self.binder()
-            self.expect(":")
-            params.append((pname, self.type_()))
-        self.expect(")")
+        receiver, params = self.receiver_params()
         self.expect("->")
         ret = self.type_()
         self.expect(":")
         body = self.term()
-        return Method(label, receiver, tuple(params), ret, body)
+        return Method(label, receiver, params, ret, body)
 
     def ctor_term(self) -> Constructor:
         self.expect("ctor")
-        self.expect("(")
-        receiver = self.binder()
-        params = []
-        while not self.at(")"):
-            self.expect(",")
-            pname = self.binder()
-            self.expect(":")
-            params.append((pname, self.type_()))
-        self.expect(")")
+        receiver, params = self.receiver_params()
         self.expect(":")
         body = self.term()
-        return Constructor(receiver, tuple(params), body)
+        return Constructor(receiver, params, body)
 
     def postfix_term(self) -> AnthillTerm:
         e = self.atom()
         while True:
-            if self.at("("):
-                self.next()
+            if self.accept("("):
                 args = []
-                while not self.at(")"):
-                    if args:
-                        self.expect(",")
+                for _ in self.listed():
                     args.append(self.term())
-                self.expect(")")
                 e = App(e, tuple(args))
                 continue
             if self.at("."):
@@ -397,16 +394,11 @@ class AnthillParser(_Parser):
             return DYN
         if self.accept("int"):
             return INT
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             params = []
-            while not self.at(")"):
-                if params:
-                    self.expect(",")
+            for _ in self.listed():
                 params.append(self.type_())
-            self.expect(")")
             self.expect("->")
-            from .core import Function
             return Function(tuple(params), self.type_())
         if self.accept("obj"):
             name = self.ident("object type name")
@@ -419,11 +411,8 @@ class AnthillParser(_Parser):
             instance_attrs = self.attr_types()
             self.expect("(")
             ctor_params = []
-            while not self.at(")"):
-                if ctor_params:
-                    self.expect(",")
+            for _ in self.listed():
                 ctor_params.append(self.type_())
-            self.expect(")")
             return Class(name, openness, class_attrs, instance_attrs,
                          tuple(ctor_params))
         raise self.fail("expected a type")
@@ -452,11 +441,8 @@ class UPythonParser(_Parser):
             self.next()
             self.expect("(")
             params = []
-            while not self.at(")"):
-                if params:
-                    self.expect(",")
+            for _ in self.listed():
                 params.append(self.binder())
-            self.expect(")")
             self.expect(":")
             return ULam(tuple(params), self.expr())
         if self.at("class"):
@@ -469,11 +455,8 @@ class UPythonParser(_Parser):
         name = self.ident("class name")
         self.expect("(")
         supers = []
-        while not self.at(")"):
-            if supers:
-                self.expect(",")
+        for _ in self.listed():
             supers.append(self.expr())
-        self.expect(")")
         self.expect("{")
         members = []
         while not self.at("}"):
@@ -494,14 +477,10 @@ class UPythonParser(_Parser):
     def postfix_expr(self) -> UPyExpr:
         e = self.atom()
         while True:
-            if self.at("("):
-                self.next()
+            if self.accept("("):
                 args = []
-                while not self.at(")"):
-                    if args:
-                        self.expect(",")
+                for _ in self.listed():
                     args.append(self.expr())
-                self.expect(")")
                 label = TRANSLATED if self.accept("!") else NATIVE
                 e = UApp(e, tuple(args), label)
                 continue
@@ -571,11 +550,8 @@ class UPythonParser(_Parser):
     def tag_labels(self) -> tuple[str, ...]:
         self.expect("{")
         labels = []
-        while not self.at("}"):
-            if labels:
-                self.expect(",")
+        for _ in self.listed("}"):
             labels.append(self.ident("label"))
-        self.expect("}")
         return tuple(labels)
 
 

@@ -236,6 +236,62 @@ def test_help_exits_zero(capsys):
     assert "fuzz" in capsys.readouterr().out
 
 
+# -------------------------------------------------------- failure table
+
+LIB = "programs/typed_call_lib.ant"
+CTX = "programs/call_context.upy"
+_FAILING = {
+    "parse.ant": "let = in",
+    "static.ant": "fun(x: int) -> int: x(1)",
+    "parse.upy": "lambda(x: x",
+    "free.upy": "zz(1)",
+    "parse_ctx.upy": "HOLE(",
+    "two_holes.upy": "HOLE(HOLE)",
+    "free_ctx.upy": "f(HOLE)",
+}
+PARSE_ANT = "error: 1:5: expected binder, found '='\n"
+PARSE_UPY = "error: 1:9: expected ',', found ':'\n"
+STATIC = "static type error: app: call of non-function type Int()\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["check", "parse.ant"], 64, PARSE_ANT),
+    (["check", "static.ant"], 1, STATIC),
+    (["translate", "parse.ant"], 64, PARSE_ANT),
+    (["translate", "static.ant"], 1, STATIC),
+    (["run", "parse.ant"], 64, PARSE_ANT),
+    (["run", "static.ant"], 1, STATIC),
+    (["run", "parse.upy"], 64, PARSE_UPY),
+    (["run", "free.upy"], 64,
+     "error: free variable 'zz' reached evaluation\n"),
+    (["verify", "parse.upy"], 64, PARSE_UPY),
+    (["verify", "programs/mixed_call.upy", "--tag", "fun["], 64,
+     "error: 1:5: expected 'NUM', found 'EOF'\n"),
+    (["embed", "--typed", "parse.ant", "--context", CTX], 64, PARSE_ANT),
+    (["embed", "--typed", LIB, "--context", "parse_ctx.upy"], 64,
+     "error: 1:6: expected an expression\n"),
+    # the typed file is parsed first, the context is validated before
+    # the typed program is translated
+    (["embed", "--typed", "parse.ant", "--context", "parse_ctx.upy"], 64,
+     PARSE_ANT),
+    (["embed", "--typed", "static.ant", "--context", CTX], 1, STATIC),
+    (["embed", "--typed", LIB, "--context", "two_holes.upy"], 64,
+     "error: bad context: context must have exactly one hole, found 2\n"),
+    (["embed", "--typed", "static.ant", "--context", "two_holes.upy"], 64,
+     "error: bad context: context must have exactly one hole, found 2\n"),
+    (["embed", "--typed", LIB, "--context", "free_ctx.upy"], 64,
+     "error: free variable 'f' reached evaluation\n"),
+])
+def test_failure_exit_code_and_stderr(tmp_path, capsys, argv, code, err):
+    for name, text in _FAILING.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in _FAILING else a for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 # -------------------------------------------------------------- internal
 
 def test_internal_error_is_reported_not_raised(tmp_path, capsys,

@@ -128,6 +128,32 @@ def test_plug_reaches_every_position():
         assert count_holes(whole) == 0
 
 
+def _plug_everywhere(c, e):
+    if isinstance(c, UHole):
+        return e
+    return c.rebuild(tuple(_plug_everywhere(k, e) for k in c.children()))
+
+
+def test_plug_rebuilds_only_the_hole_path():
+    # the same program as a rebuild of every node, sharing each subtree
+    # that holds no hole with the context
+    rng = random.Random(11)
+    filler = UInt(77)
+    for _ in range(300):
+        c = gen_untyped_context(rng, rng.randint(1, 6)).expr
+        whole = plug(c, filler)
+        assert whole == _plug_everywhere(c, filler)
+        stack = [(c, whole)]
+        while stack:
+            old, new = stack.pop()
+            if count_holes(old) == 0:
+                assert new is old
+            elif not isinstance(old, UHole):
+                stack.extend(zip(old.children(), new.children()))
+    with pytest.raises(TagError):
+        plug(UInt(1), filler)
+
+
 # ---------------------------------------------------------------------------
 # context typing
 

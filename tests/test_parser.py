@@ -219,6 +219,21 @@ def test_deep_nesting_is_a_parse_error(parse):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_anthill, "f(" * 400 + "1" + ")" * 400),
+    (parse_upython, "f(" * 400 + "1" + ")" * 400),
+    (parse_anthill, "class C(" * 400 + "1"
+     + ") [open; {}; {}] { init = ctor(self): 0 }" * 400),
+    (parse_upython, "class C(" * 400 + "1" + ") {} init 0" * 400),
+    (parse_anthill_type, "(" * 800 + "int" + ") -> int" * 800),
+], ids=["anthill-call", "upython-call", "anthill-super", "upython-super",
+        "function-type"])
+def test_lists_nest_as_deep_as_their_rule(parse, text):
+    # a rule reads its list's items in its own frame, not through a
+    # callback, so each level of nesting costs the stack no more
+    parse(text)
+
+
 # ---------------------------------------------------------------------------
 # the lexer against the reference lexer in tests/oracles.py
 
@@ -343,6 +358,39 @@ def test_parsers_agree_with_reference_lexer(text):
     (parse_anthill, "let $x = 1 in $x",
      "1:5: the $ namespace is reserved for runtime binders"),
     (parse_upython, "x\x0c", "1:2: unexpected character '\\x0c'"),
+    # comma-separated lists: unterminated, a missing comma, a trailing
+    # comma, and the two lists that check for duplicate labels
+    (parse_anthill, "f(1,", "1:5: expected a term"),
+    (parse_upython, "f(1,", "1:5: expected an expression"),
+    (parse_anthill, "f(1 2)", "1:5: expected ',', found '2'"),
+    (parse_upython, "f(1 2)", "1:5: expected ',', found '2'"),
+    (parse_upython, "lambda(x,): x", "1:10: expected binder, found ')'"),
+    (parse_upython, "lambda(x", "1:9: expected ',', found 'EOF'"),
+    (parse_anthill, "fun(x: int,) -> int: x",
+     "1:12: expected binder, found ')'"),
+    (parse_anthill, "fun(x: int y: int) -> int: x",
+     "1:12: expected ',', found 'y'"),
+    (parse_anthill_type, "(int,) -> int", "1:6: expected a type"),
+    (parse_anthill_type, "class C open {} {} (int,)",
+     "1:25: expected a type"),
+    (parse_tag, "obj{a,}", "1:7: expected label, found '}'"),
+    (parse_tag, "class{a b}[any]", "1:9: expected ',', found 'b'"),
+    (parse_anthill, "class C() [open; {}; {}] "
+     "{ m = meth(self,) -> int: 1; init = ctor(self): 0 }",
+     "1:42: expected binder, found ')'"),
+    (parse_anthill, "class C() [open; {}; {}] { init = ctor(self,): 0 }",
+     "1:45: expected binder, found ')'"),
+    (parse_anthill, "class C() [open; {}; {}] { init = ctor(): 0 }",
+     "1:40: expected binder, found ')'"),
+    (parse_anthill, "class C(x [open; {}; {}] { init = ctor(self): 0 }",
+     "1:11: expected ',', found '['"),
+    (parse_anthill, "class C(x, [open; {}; {}] { init = ctor(self): 0 }",
+     "1:12: expected a term"),
+    (parse_upython, "class C(x {} init 0", "1:11: expected ',', found '{'"),
+    (parse_anthill_type, "obj P open {a: int, a: int, b}",
+     "1:21: duplicate attribute label 'a'"),
+    (parse_upython, "class C() {a = 1, a = (} init 0",
+     "1:19: duplicate member label 'a'"),
 ])
 def test_error_positions_pinned(parse, text, message):
     with pytest.raises(ParseError) as err:
