@@ -20,7 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from anthill.generate import gen_typed_program
-from anthill.runtime import CastError, PyError, Timeout, Value, run
+from anthill.runtime import run
 from anthill.translate import translate_program
 from anthill.upython import UCheck
 
@@ -29,17 +29,6 @@ def erase_checks(e):
     while isinstance(e, UCheck):
         e = e.subject
     return e.rebuild(tuple(map(erase_checks, e.children())))
-
-
-def outcome_name(o):
-    if isinstance(o, Value):
-        return "value"
-    if isinstance(o, CastError):
-        return "casterror"
-    if isinstance(o, Timeout):
-        return "timeout"
-    assert isinstance(o, PyError)
-    return f"pyerror-{o.label.name.lower()}"
 
 
 def main() -> int:
@@ -60,7 +49,7 @@ def main() -> int:
         target, _ = translate_program(term)
         full = run(target, budget=args.budget)
         bare = run(erase_checks(target), budget=args.budget)
-        pair = (outcome_name(full), outcome_name(bare))
+        pair = (full.kind, bare.kind)
         shifts[pair] = shifts.get(pair, 0) + 1
         if pair == ("value", "value"):
             checked_steps += full.steps

@@ -20,9 +20,8 @@ from .harness import TrialConfig, run_trials, shrink_violation, \
     write_reproducer
 from .parser import ParseError, parse_anthill, parse_tag, parse_upython
 from .printer import print_anthill_type, print_upython
-from .runtime import CastError, OpenTermError, PyError, Timeout, Value, run
+from .runtime import OpenTermError, run
 from .translate import StaticTypeError, translate_program
-from .upython import Label, PYOBJ
 from .verify import verifies
 
 
@@ -61,22 +60,22 @@ def _detect_language(path: str, override: str | None) -> str:
         f"cannot infer language from {path!r}; pass --lang"))
 
 
+# outcome kind -> (exit status, word printed before "after N steps");
+# a value prints itself instead
+_OUTCOME_EXIT = {
+    "value": (ExitStatus.OK, None),
+    "casterror": (ExitStatus.CAST_ERROR, "casterror"),
+    "native-error": (ExitStatus.NATIVE_ERROR, "pyerror(native)"),
+    "translated-error": (ExitStatus.TRANSLATED_ERROR, "pyerror(translated)"),
+    "timeout": (ExitStatus.TIMEOUT, "timeout"),
+}
+
+
 def _finish(outcome) -> int:
-    if isinstance(outcome, Value):
-        print(print_upython(outcome.value))
-        return int(ExitStatus.OK)
-    if isinstance(outcome, CastError):
-        print(f"casterror after {outcome.steps} steps")
-        return int(ExitStatus.CAST_ERROR)
-    if isinstance(outcome, Timeout):
-        print(f"timeout after {outcome.steps} steps")
-        return int(ExitStatus.TIMEOUT)
-    assert isinstance(outcome, PyError)
-    origin = "translated" if outcome.label is Label.TRANSLATED else "native"
-    print(f"pyerror({origin}) after {outcome.steps} steps")
-    if outcome.label is Label.TRANSLATED:
-        return int(ExitStatus.TRANSLATED_ERROR)
-    return int(ExitStatus.NATIVE_ERROR)
+    status, word = _OUTCOME_EXIT[outcome.kind]
+    print(f"{word} after {outcome.steps} steps" if word
+          else print_upython(outcome.value))
+    return int(status)
 
 
 def _trace_printer(args):

@@ -22,10 +22,11 @@ from .core import DYN, tag_of
 from .generate import gen_type, gen_typed_term, gen_untyped_context
 from .printer import print_anthill_term, print_anthill_type, print_tag, \
     print_upython
-from .runtime import CastError, PyError, Timeout, Value, run
+from .runtime import run
 from .translate import translate_term
-from .upython import Label, PYOBJ
-from .verify import infer, principal_heap_type, tag_subtype, verifies
+from .upython import PYOBJ
+from .verify import TagError, infer, principal_heap_type, tag_subtype, \
+    verifies
 
 SEED_STRIDE = 1_000_000_007
 
@@ -96,31 +97,24 @@ def soundness_trial(seed: int, config: TrialConfig = TrialConfig()
             f"{outer_env!r}\ncontext: {report.context_text}")
 
     outcome = run(plug(ctx.expr, target), budget=config.budget)
+    report = replace(report, outcome=outcome.kind, steps=outcome.steps,
+                     verdict="pass")
 
-    if isinstance(outcome, Value):
-        sigma = principal_heap_type(outcome.heap)
-        got = infer((), sigma, outcome.value)
-        if tag_subtype(got, program_tag):
-            return replace(report, outcome="value", steps=outcome.steps,
-                           verdict="pass")
-        return replace(
-            report, outcome="value", steps=outcome.steps,
-            verdict="violation",
-            detail=(f"result tag {print_tag(got)} is not below the "
-                    f"program tag {print_tag(program_tag)}"))
-    if isinstance(outcome, CastError):
-        return replace(report, outcome="casterror", steps=outcome.steps,
-                       verdict="pass")
-    if isinstance(outcome, Timeout):
-        return replace(report, outcome="timeout", steps=outcome.steps,
-                       verdict="pass")
-    assert isinstance(outcome, PyError)
-    if outcome.label is Label.NATIVE:
-        return replace(report, outcome="native-error", steps=outcome.steps,
-                       verdict="pass")
-    return replace(report, outcome="translated-error", steps=outcome.steps,
-                   verdict="violation",
-                   detail="runtime error attributed to translated code")
+    if outcome.kind == "translated-error":
+        return replace(report, verdict="violation",
+                       detail="runtime error attributed to translated code")
+    if outcome.kind == "value":
+        try:
+            got = infer((), principal_heap_type(outcome.heap), outcome.value)
+        except TagError as exc:
+            return replace(report, verdict="violation",
+                           detail=f"result value has no tag: TagError {exc}")
+        if not tag_subtype(got, program_tag):
+            return replace(
+                report, verdict="violation",
+                detail=(f"result tag {print_tag(got)} is not below the "
+                        f"program tag {print_tag(program_tag)}"))
+    return report
 
 
 @dataclass(frozen=True)

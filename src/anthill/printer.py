@@ -201,10 +201,9 @@ def print_upython(e: UPyExpr) -> str:
     if isinstance(e, UCheck):
         return f"check({print_upython(e.subject)}, {print_tag(e.tag)})"
     if isinstance(e, UClass):
-        bang = "!" if e.label is Label.TRANSLATED else ""
         supers = ", ".join(print_upython(s) for s in e.supers)
         members = ", ".join(f"{label} = {print_upython(v)}"
                             for label, v in e.members)
-        return (f"class{bang} {e.name}({supers}){{{members}}} "
+        return (f"class{_bang(e.label)} {e.name}({supers}){{{members}}} "
                 f"init {print_upython(e.ctor)}")
     raise TypeError(f"not an expression: {e!r}")

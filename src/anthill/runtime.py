@@ -95,7 +95,9 @@ class Heap:
 
 
 # ---------------------------------------------------------------------------
-# outcomes
+# outcomes: each names its kind (value, casterror, native-error,
+# translated-error or timeout); only a translated-error breaks the
+# open-world soundness claim
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,11 +105,13 @@ class Value:
     value: UPyExpr
     heap: Heap
     steps: int
+    kind = "value"
 
 
 @dataclass(frozen=True, slots=True)
 class CastError:
     steps: int
+    kind = "casterror"
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,10 +119,17 @@ class PyError:
     label: Label
     steps: int
 
+    @property
+    def kind(self) -> str:
+        if self.label is Label.TRANSLATED:
+            return "translated-error"
+        return "native-error"
+
 
 @dataclass(frozen=True, slots=True)
 class Timeout:
     steps: int
+    kind = "timeout"
 
 
 Outcome = Value | CastError | PyError | Timeout
@@ -148,19 +159,28 @@ def hasattrs(addr: int, names, heap: Heap) -> bool:
     return all(getattr_(addr, x, heap) is not None for x in names)
 
 
-def param_match(v: UPyExpr, heap: Heap, c: int | None) -> bool:
-    """Can v be called with c arguments (None meaning any number)?
-    Class addresses defer to their constructor with one extra slot for
-    the receiver."""
+def call_arity(v: UPyExpr, heap: Heap) -> int | None:
+    """The number of arguments v can be called with, or None when v is
+    not callable. A class address takes its constructor's arity less
+    the receiver slot."""
     if isinstance(v, ULam):
-        return c is None or len(v.params) == c
+        return len(v.params)
     if isinstance(v, UAddr) and v.addr in heap:
         h = heap[v.addr]
         if isinstance(h, ClassH):
-            if c is None:
-                return True
-            return param_match(h.ctor, heap, c + 1)
-    return False
+            inner = call_arity(h.ctor, heap)
+            if inner is not None and inner >= 1:
+                return inner - 1
+    return None
+
+
+def param_match(v: UPyExpr, heap: Heap, c: int | None) -> bool:
+    """Can v be called with c arguments? None asks only whether v is a
+    lambda or a class, whatever its arity."""
+    if c is None:
+        return isinstance(v, ULam) or (isinstance(v, UAddr) and v.addr in heap
+                                       and isinstance(heap[v.addr], ClassH))
+    return call_arity(v, heap) == c
 
 
 def check(v: UPyExpr, heap: Heap, tag: Tag) -> bool:

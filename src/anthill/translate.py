@@ -21,13 +21,11 @@ from .core import (
     Dyn,
     Function,
     Get,
-    Int,
     IntLit,
     Let,
     Fun,
     Method,
     MemsUndefined,
-    Object,
     Set,
     Var,
     DYN,

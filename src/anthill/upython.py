@@ -10,7 +10,7 @@ translation. Errors blame the label of the expression that raised them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Label(enum.Enum):

@@ -10,12 +10,11 @@ with their own error.
 
 from __future__ import annotations
 
-from .runtime import ClassH, Heap, ObjH, hasattrs, param_match
+from .runtime import ClassH, Heap, ObjH, call_arity, hasattrs, param_match
 from .upython import (
     NATIVE,
     ClassTag,
     FunTag,
-    IntTag,
     ObjTag,
     Pyobj,
     Tag,
@@ -178,7 +177,8 @@ def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
                     "class", f"superclass has non-class tag {stag!r}", s)
             inherited |= stag.labels
         ctor_tag = _infer(env, sigma, e.ctor)
-        arity = _call_arity_of_tag(ctor_tag)
+        arity = (ctor_tag.arity if isinstance(ctor_tag, (FunTag, ClassTag))
+                 else None)
         if arity is None or arity < 1:
             raise TagError(
                 "class",
@@ -186,14 +186,6 @@ def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
         return ClassTag(own | inherited, arity - 1)
 
     raise TagError("expr", f"not a typeable expression: {e!r}", e)
-
-
-def _call_arity_of_tag(tag: Tag) -> int | None:
-    if isinstance(tag, FunTag):
-        return tag.arity
-    if isinstance(tag, ClassTag):
-        return tag.arity
-    return None
 
 
 def verifies(env, sigma: HeapType, e: UPyExpr, want: Tag) -> bool:
@@ -229,26 +221,18 @@ def heap_ok(sigma: HeapType, heap: Heap) -> bool:
         if isinstance(tag, Pyobj):
             continue
         if isinstance(tag, ClassTag):
-            if not isinstance(h, ClassH):
-                return False
-            if not hasattrs(addr, tag.labels, heap):
-                return False
-            if not param_match(UAddr(addr), heap, tag.arity):
-                return False
-            if not all(isinstance(sigma.get(s), ClassTag) for s in h.supers):
-                return False
-            if not all(_value_typeable(sigma, v) for v in h.members.values()):
-                return False
+            shaped = (isinstance(h, ClassH)
+                      and param_match(UAddr(addr), heap, tag.arity)
+                      and all(isinstance(sigma.get(s), ClassTag)
+                              for s in h.supers))
         elif isinstance(tag, ObjTag):
-            if not isinstance(h, ObjH):
-                return False
-            if not hasattrs(addr, tag.labels, heap):
-                return False
-            if not isinstance(sigma.get(h.cls), ClassTag):
-                return False
-            if not all(_value_typeable(sigma, v) for v in h.members.values()):
-                return False
+            shaped = (isinstance(h, ObjH)
+                      and isinstance(sigma.get(h.cls), ClassTag))
         else:
+            return False
+        if not (shaped and hasattrs(addr, tag.labels, heap)
+                and all(_value_typeable(sigma, v)
+                        for v in h.members.values())):
             return False
     return True
 
@@ -267,18 +251,6 @@ def _reachable_labels(addr: int, heap: Heap, memo: dict) -> frozenset[str]:
     return labels
 
 
-def _call_arity_of_value(v: UPyExpr, heap: Heap) -> int | None:
-    if isinstance(v, ULam):
-        return len(v.params)
-    if isinstance(v, UAddr) and v.addr in heap:
-        h = heap[v.addr]
-        if isinstance(h, ClassH):
-            inner = _call_arity_of_value(h.ctor, heap)
-            if inner is not None and inner >= 1:
-                return inner - 1
-    return None
-
-
 def principal_heap_type(heap: Heap) -> HeapType:
     """Most precise heap type the heap satisfies: every reachable label
     is recorded and class call arities are exact where the constructor
@@ -288,7 +260,7 @@ def principal_heap_type(heap: Heap) -> HeapType:
     for addr, h in heap.items():
         labels = _reachable_labels(addr, heap, memo)
         if isinstance(h, ClassH):
-            sigma[addr] = ClassTag(labels, _call_arity_of_value(UAddr(addr), heap))
+            sigma[addr] = ClassTag(labels, call_arity(UAddr(addr), heap))
         else:
             sigma[addr] = ObjTag(labels)
     return sigma

@@ -11,6 +11,7 @@ from anthill.generate import gen_native_expr, gen_typed_program
 from anthill.harness import TrialConfig, run_trials
 from anthill.parser import parse_upython
 from anthill.printer import print_anthill_term, print_upython
+from anthill.runtime import run
 from anthill.translate import translate_program
 from anthill.parser import parse_anthill
 
@@ -94,6 +95,30 @@ def test_run_timeout(tmp_path, capsys):
                    "(lambda(x): x(x))(lambda(x): x(x))")
     assert main(["run", omega, "--budget", "40"]) == ExitStatus.TIMEOUT
     assert capsys.readouterr().out.strip() == "timeout after 40 steps"
+
+
+@pytest.mark.parametrize("name, budget, kind, code", [
+    ("class_late_init.ant", 10 ** 6, "casterror", 2),
+    ("mixed_call.upy", 10 ** 6, "value", 0),
+    ("native_call_error.upy", 10 ** 6, "native-error", 3),
+    ("point.ant", 10 ** 6, "value", 0),
+    ("point2d_early_read.ant", 10 ** 6, "casterror", 2),
+    ("read_missing_attr.ant", 10 ** 6, "casterror", 2),
+    ("translated_call_error.upy", 10 ** 6, "translated-error", 4),
+    ("typed_call_lib.ant", 10 ** 6, "value", 0),
+    ("untyped_call.upy", 10 ** 6, "native-error", 3),
+    ("point.ant", 1, "timeout", 5),
+])
+def test_outcome_kind_and_exit_code(name, budget, kind, code, capsys):
+    path = f"programs/{name}"
+    with open(path) as fh:
+        text = fh.read()
+    if name.endswith(".ant"):
+        program, _ = translate_program(parse_anthill(text))
+    else:
+        program = parse_upython(text)
+    assert run(program, budget=budget).kind == kind
+    assert main(["run", path, "--budget", str(budget)]) == code
 
 
 def test_run_static_error_exit(tmp_path):

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+from anthill import harness
 from anthill.harness import (
     SEED_STRIDE,
     FuzzReport,
@@ -14,6 +15,8 @@ from anthill.harness import (
     write_reproducer,
 )
 from anthill.parser import parse_anthill, parse_upython
+from anthill.runtime import Heap, Value
+from anthill.upython import UAddr
 
 SMALL = TrialConfig(term_depth=3, ctx_depth=3, budget=2_000)
 
@@ -154,3 +157,14 @@ def test_reproducer_for_synthetic_violation(tmp_path):
     assert "# detail: runtime error attributed to translated code" in text
     assert "budget: 77" in text
     assert "# binders at hole: -" in text
+
+
+def test_untypeable_result_value_is_a_violation_not_a_crash(monkeypatch):
+    # @7 is not in the empty result heap, so the post-run tag check
+    # cannot type the value
+    monkeypatch.setattr(harness, "run",
+                        lambda *args, **kwargs: Value(UAddr(7), Heap(), 1))
+    report = soundness_trial(trial_seed(1, 0), SMALL)
+    assert (report.outcome, report.steps, report.verdict) == \
+        ("value", 1, "violation")
+    assert "TagError" in report.detail

@@ -26,6 +26,7 @@ from anthill.runtime import (
     StepPyError,
     Timeout,
     Value,
+    call_arity,
     check,
     getattr_,
     hasattrs,
@@ -224,6 +225,8 @@ def test_metafunctions_agree_on_random_heaps():
                 assert check(v, heap, tag) == o_check(heap, v, tag)
             for c in (None, 0, 1, 2, 3):
                 assert param_match(v, heap, c) == o_param_match(heap, v, c)
+            for c in range(5):
+                assert (call_arity(v, heap) == c) == o_param_match(heap, v, c)
         for a in addrs:
             for x in labels:
                 assert getattr_(a, x, heap) == o_getattr(heap, a, x)
