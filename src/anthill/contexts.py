@@ -10,14 +10,11 @@ plugged expression by design.
 from __future__ import annotations
 
 from .upython import (
-    INT_TAG,
     NATIVE,
     PYOBJ,
-    FunTag,
     Tag,
     UAddr,
     UApp,
-    UCheck,
     UClass,
     UGet,
     UHole,
@@ -25,6 +22,7 @@ from .upython import (
     ULet,
     UPyExpr,
     USet,
+    UVar,
     is_value,
     walk,
 )
@@ -99,10 +97,14 @@ def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, int]]:
 def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag]:
     """Type a one-hole context: given the environment and tag assumed at
     the hole, compute the environment and principal tag of the whole
-    context once plugged. The hole environment must be the outer
+    context once plugged. Each node on the hole path is typed by infer,
+    its hole child standing for the unutterable variable $hole at the
+    tag computed so far. The hole environment must be the outer
     environment extended, in path order, by the binders crossed on the
-    way to the hole. Raises TagError when a side premise fails."""
+    way to the hole, and a let binder's assumed tag must bound its
+    let-bound expression's. Raises TagError when a premise fails."""
     env, tag = tag_env(hole_env), hole_tag
+    hole = UVar("$hole")
     # fold the hole's path outwards: (env, tag) is what the child at
     # index i, the one holding the hole, was typed with and at
     for node, i in reversed(_hole_path(ctx)):
@@ -114,12 +116,8 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
                     "context",
                     f"hole environment does not end with the lambda binders "
                     f"{expected!r}")
-            env, tag = env[:len(env) - k], FunTag(k)
-        elif isinstance(node, UCheck):
-            tag = node.tag
-        elif isinstance(node, ULet) and i == 0:
-            tag = infer(env_extend(env, (node.name, tag)), {}, node.body)
-        elif isinstance(node, ULet):
+            env = env[:len(env) - k]
+        elif isinstance(node, ULet) and i == 1:
             if len(env) == 0 or env[-1][0] != node.name:
                 raise TagError(
                     "context",
@@ -132,12 +130,8 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
                     "context",
                     f"let-bound expression has {bound_tag!r}, hole assumes "
                     f"{assumed!r}")
-        else:
-            # an elimination or class form: the siblings of the hole's
-            # child are plain expressions typed under the same environment
-            for j, kid in enumerate(node.children()):
-                if j != i:
-                    infer(env, {}, kid)
-            tag = INT_TAG if isinstance(node, USet) else PYOBJ
+            continue  # the let has its body's tag, and its bound is typed
+        kids = list(node.children())
+        kids[i] = hole
+        tag = infer(env_extend(env, (hole.name, tag)), {}, node.rebuild(kids))
     return env, tag
-

@@ -13,7 +13,7 @@ offending elimination form.
 from __future__ import annotations
 
 from itertools import count, repeat
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .upython import (
     ClassTag,
@@ -97,7 +97,8 @@ class Heap:
 # ---------------------------------------------------------------------------
 # outcomes: each names its kind (value, casterror, native-error,
 # translated-error or timeout); only a translated-error breaks the
-# open-world soundness claim
+# open-world soundness claim. An error outcome also names the rule that
+# raised it; a single step ends in one with steps=1.
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +112,7 @@ class Value:
 @dataclass(frozen=True, slots=True)
 class CastError:
     steps: int
+    rule: str
     kind = "casterror"
 
 
@@ -118,6 +120,7 @@ class CastError:
 class PyError:
     label: Label
     steps: int
+    rule: str
 
     @property
     def kind(self) -> str:
@@ -133,6 +136,13 @@ class Timeout:
 
 
 Outcome = Value | CastError | PyError | Timeout
+
+
+@dataclass(frozen=True, slots=True)
+class Stepped:
+    """A step that did not end the run: the new term and its rule."""
+    expr: UPyExpr
+    rule: str
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +212,6 @@ def check(v: UPyExpr, heap: Heap, tag: Tag) -> bool:
     raise TypeError(f"not a tag: {tag!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Found:
-    value: UPyExpr
-
-
-class _NotFound:
-    def __repr__(self) -> str:
-        return "NOT_FOUND"
-
-
-class _NullaryMethod:
-    def __repr__(self) -> str:
-        return "NULLARY_METHOD"
-
-
-NOT_FOUND = _NotFound()
-NULLARY_METHOD = _NullaryMethod()
-
 _fresh_counter = count()
 
 
@@ -230,27 +222,28 @@ def _fresh(prefix: str) -> str:
 
 
 def lookup(addr: int, h: HeapValue, label: str, heap: Heap, p: Label):
-    """Member read on a heap value. Object-local members win and are
-    returned raw. A method found through the class chain is curried over
-    the receiver; a nullary one cannot take the receiver at all and
-    signals the cast error the caller turns into one. Class receivers
-    delegate straight to attribute search."""
+    """The step a member read on a heap value takes: Stepped (EGet1),
+    CastError (EGet2) or PyError carrying p (EGet3, member absent).
+    Object-local members win and are returned raw. A method found
+    through the class chain is curried over the receiver; a nullary one
+    cannot take the receiver at all, which is a cast error. Class
+    receivers delegate straight to attribute search."""
     if isinstance(h, ObjH):
         if label in h.members:
-            return Found(h.members[label])
+            return Stepped(h.members[label], "EGet1")
         found = getattr_(h.cls, label, heap)
-        if found is None:
-            return NOT_FOUND
         if isinstance(found, ULam):
             if len(found.params) == 0:
-                return NULLARY_METHOD
+                return CastError(1, "EGet2")
             rest = tuple(_fresh("r") for _ in found.params[1:])
-            return Found(ULam(rest, UApp(found,
-                                         (UAddr(addr),) + tuple(UVar(y) for y in rest),
-                                         p)))
-        return Found(found)
-    found = getattr_(addr, label, heap)
-    return Found(found) if found is not None else NOT_FOUND
+            found = ULam(rest, UApp(found,
+                                    (UAddr(addr),) + tuple(UVar(y) for y in rest),
+                                    p))
+    else:
+        found = getattr_(addr, label, heap)
+    if found is None:
+        return PyError(p, 1, "EGet3")
+    return Stepped(found, "EGet1")
 
 
 def substitute(e: UPyExpr, bindings: dict[str, UPyExpr]) -> UPyExpr:
@@ -272,26 +265,6 @@ def substitute(e: UPyExpr, bindings: dict[str, UPyExpr]) -> UPyExpr:
 
 # ---------------------------------------------------------------------------
 # stepping
-
-
-@dataclass(frozen=True, slots=True)
-class Stepped:
-    expr: UPyExpr
-    rule: str
-
-
-@dataclass(frozen=True, slots=True)
-class StepCastError:
-    rule: str
-
-
-@dataclass(frozen=True, slots=True)
-class StepPyError:
-    label: Label
-    rule: str
-
-
-StepResult = Stepped | StepCastError | StepPyError
 
 
 def _open_slot(e: UPyExpr, kids, i: int) -> int:
@@ -329,14 +302,14 @@ def _plug(stack: list, e: UPyExpr) -> UPyExpr:
     return e
 
 
-def _contract(e: UPyExpr, heap: Heap) -> StepResult:
+def _contract(e: UPyExpr, heap: Heap) -> Stepped | CastError | PyError:
     """Apply the base rule for redex e; the heap is updated in place
     (allocation, member update)."""
     if isinstance(e, UApp):
         fn, args = e.fn, e.args
         if isinstance(fn, ULam):
             if len(fn.params) != len(args):
-                return StepPyError(e.label, "EApp3")
+                return PyError(e.label, 1, "EApp3")
             return Stepped(substitute(fn.body, dict(zip(fn.params, args))),
                            "EApp1")
         if isinstance(fn, UAddr) and fn.addr in heap:
@@ -345,41 +318,37 @@ def _contract(e: UPyExpr, heap: Heap) -> StepResult:
                 a2 = heap.alloc(ObjH(fn.addr, {}))
                 ctor_call = UApp(h.ctor, (UAddr(a2),) + args, e.label)
                 return Stepped(ULet("_", ctor_call, UAddr(a2)), "EApp2")
-        return StepPyError(e.label, "EApp3")
+        return PyError(e.label, 1, "EApp3")
 
     if isinstance(e, UCheck):
         if check(e.subject, heap, e.tag):
             return Stepped(e.subject, "ECheck1")
-        return StepCastError("ECheck2")
+        return CastError(1, "ECheck2")
 
     if isinstance(e, ULet):
         return Stepped(substitute(e.body, {e.name: e.bound}), "ELet")
 
     if isinstance(e, UGet):
         if isinstance(e.subject, UAddr) and e.subject.addr in heap:
-            r = lookup(e.subject.addr, heap[e.subject.addr], e.attr, heap,
-                       e.label)
-            if isinstance(r, Found):
-                return Stepped(r.value, "EGet1")
-            if r is NULLARY_METHOD:
-                return StepCastError("EGet2")
-        return StepPyError(e.label, "EGet3")
+            return lookup(e.subject.addr, heap[e.subject.addr], e.attr,
+                          heap, e.label)
+        return PyError(e.label, 1, "EGet3")
 
     if isinstance(e, USet):
         if isinstance(e.subject, UAddr) and e.subject.addr in heap:
             heap[e.subject.addr].members[e.attr] = e.value
             return Stepped(UInt(0), "ESet")
-        return StepPyError(e.label, "ESet4")
+        return PyError(e.label, 1, "ESet4")
 
     if isinstance(e, UClass):
         super_addrs = []
         for s in e.supers:
             if not (isinstance(s, UAddr) and s.addr in heap
                     and isinstance(heap[s.addr], ClassH)):
-                return StepPyError(e.label, "EClass3")
+                return PyError(e.label, 1, "EClass3")
             super_addrs.append(s.addr)
         if not param_match(e.ctor, heap, None):
-            return StepPyError(e.label, "EClass3")
+            return PyError(e.label, 1, "EClass3")
         a = heap.alloc(ClassH(tuple(super_addrs), dict(e.members), e.ctor))
         return Stepped(UAddr(a), "EClass")
 
@@ -388,8 +357,9 @@ def _contract(e: UPyExpr, heap: Heap) -> StepResult:
     raise TypeError(f"cannot step {e!r}")
 
 
-def step(e: UPyExpr, heap: Heap) -> StepResult:
-    """One reduction: decompose, contract, plug. Errors discard the
+def step(e: UPyExpr, heap: Heap) -> Stepped | CastError | PyError:
+    """One reduction: decompose, contract, plug. The step ends in a new
+    term or in an error outcome with steps=1, which discards the
     surrounding context."""
     stack = []
     r = _contract(_focus(e, stack), heap)
@@ -404,8 +374,10 @@ def run(e: UPyExpr, heap: Heap | None = None, budget: int = 10 ** 6,
     The context stays on the frame stack between steps: a contractum
     that is a value fills the hole of the top frame, and evaluation goes
     on at that frame's next open slot, or at its node once it has none.
-    on_step, if given, is called with (step index, rule name, heap size)
-    after each successful step."""
+    A step that errs ends the run with its own error outcome, rule
+    included, counting every step taken. on_step, if given, is called
+    with (step index, rule name, heap size) after each successful
+    step."""
     if heap is None:
         heap = Heap()
     stack = []
@@ -432,7 +404,5 @@ def run(e: UPyExpr, heap: Heap | None = None, budget: int = 10 ** 6,
             e = r.expr
             if on_step is not None:
                 on_step(steps, r.rule, len(heap))
-        elif isinstance(r, StepCastError):
-            return CastError(steps)
         else:
-            return PyError(r.label, steps)
+            return replace(r, steps=steps)

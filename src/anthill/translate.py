@@ -136,16 +136,7 @@ def translate_term(env: TypeEnv, t: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
             "set", f"no member {t.attr!r} on closed type {subj_ty!r}", t)
 
     if isinstance(t, Fun):
-        _check_params(t.params)
-        inner = {**env, **{n: ty for n, ty in t.params if n != "_"}}
-        body, body_ty = translate_term(inner, t.body)
-        if not subtype_consistent(body_ty, t.ret):
-            raise StaticTypeError(
-                "fun",
-                f"body type {body_ty!r} does not flow into declared "
-                f"return type {t.ret!r}", t)
-        body = _param_check_lets(t.params, body)
-        return (ULam(tuple(n for n, _ in t.params), body),
+        return (_lambda(env, "fun", t.params, t.params, t.ret, t.body, t),
                 Function(tuple(ty for _, ty in t.params), t.ret))
 
     if isinstance(t, App):
@@ -243,18 +234,29 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
             declared)
 
 
+def _lambda(env: TypeEnv, rule: str, params, checked, ret: AnthillType,
+            body: AnthillTerm, subterm) -> ULam:
+    """The one lambda rule, shared by functions, methods and
+    constructors. The body is typed with params bound at their types,
+    and its type must flow into ret; each parameter in checked, a
+    suffix of params, is rebound through an entry check."""
+    _check_params(params)
+    inner = {**env, **{n: ty for n, ty in params if n != "_"}}
+    body, body_ty = translate_term(inner, body)
+    if not subtype_consistent(body_ty, ret):
+        raise StaticTypeError(
+            rule,
+            f"body type {body_ty!r} does not flow into declared return "
+            f"type {ret!r}", subterm)
+    return ULam(tuple(n for n, _ in params), _param_check_lets(checked, body))
+
+
 def translate_constructor(env: TypeEnv, c: Constructor) -> tuple[UPyExpr, tuple[AnthillType, ...]]:
     """Translate a constructor to a lambda taking the receiver first.
     The receiver is dynamically typed in the body and gets no entry
     check; parameters are rebound through checks as in functions."""
-    _check_params(((c.receiver, DYN),) + c.params)
-    inner = dict(env)
-    if c.receiver != "_":
-        inner[c.receiver] = DYN
-    inner.update({n: ty for n, ty in c.params if n != "_"})
-    body, _ = translate_term(inner, c.body)
-    body = _param_check_lets(c.params, body)
-    return (ULam((c.receiver,) + tuple(n for n, _ in c.params), body),
+    return (_lambda(env, "constructor", ((c.receiver, DYN),) + c.params,
+                    c.params, DYN, c.body, c),
             tuple(ty for _, ty in c.params))
 
 
@@ -265,21 +267,6 @@ def translate_method(env: TypeEnv, cls: Class, m: Method) -> tuple[UPyExpr, Anth
     member type includes the receiver slot, at the dynamic type, so it
     lines up with the class-attribute declarations and with the arity of
     the emitted lambda."""
-    _check_params(((m.receiver, DYN),) + m.params)
-    recv_ty = instance_type(cls)
-    inner = dict(env)
-    if m.receiver != "_":
-        inner[m.receiver] = recv_ty
-    inner.update({n: ty for n, ty in m.params if n != "_"})
-    body, body_ty = translate_term(inner, m.body)
-    if not subtype_consistent(body_ty, m.ret):
-        raise StaticTypeError(
-            "method",
-            f"body type {body_ty!r} does not flow into declared return "
-            f"type {m.ret!r}", m)
-    body = _param_check_lets(m.params, body)
-    if m.receiver != "_":
-        body = ULet(m.receiver, UCheck(UVar(m.receiver), tag_of(recv_ty)),
-                    body)
-    return (ULam((m.receiver,) + tuple(n for n, _ in m.params), body),
+    params = ((m.receiver, instance_type(cls)),) + m.params
+    return (_lambda(env, "method", params, params, m.ret, m.body, m),
             Function((DYN,) + tuple(ty for _, ty in m.params), m.ret))

@@ -7,7 +7,6 @@ takes an explicit random.Random so failures replay.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from anthill.runtime import ClassH, Heap, ObjH

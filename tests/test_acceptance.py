@@ -28,10 +28,7 @@ from anthill.parser import parse_anthill, parse_anthill_type, parse_upython
 from anthill.printer import print_anthill_term, print_anthill_type, \
     print_upython
 from anthill.runtime import (
-    NOT_FOUND,
-    NULLARY_METHOD,
     CastError,
-    Found,
     Heap,
     PyError,
     Stepped,
@@ -278,14 +275,15 @@ def test_criterion_5_stepwise_reverification():
 def _assert_lookup_agrees(heap, addr, label):
     got = lookup(addr, heap[addr], label, heap, Label.NATIVE)
     want = o_lookup(heap, addr, label, Label.NATIVE)
-    if isinstance(got, Found):
-        assert want[0] == "found"
-        assert alpha_normalize(got.value) == alpha_normalize(want[1])
-    elif got is NOT_FOUND:
+    if isinstance(got, Stepped):
+        assert want[0] == "found" and got.rule == "EGet1"
+        assert alpha_normalize(got.expr) == alpha_normalize(want[1])
+    elif isinstance(got, PyError):
         assert want == ("absent",)
+        assert got == PyError(Label.NATIVE, 1, "EGet3")
     else:
-        assert got is NULLARY_METHOD
         assert want == ("nullary",)
+        assert got == CastError(1, "EGet2")
 
 
 def test_criterion_6_metafunction_oracles():

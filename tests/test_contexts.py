@@ -17,11 +17,9 @@ from anthill.generate import gen_native_expr, gen_typed_program, gen_untyped_con
 from anthill.parser import parse_upython
 from anthill.translate import translate_program
 from anthill.upython import (
-    NATIVE,
-    TRANSLATED,
+    ClassTag,
     FunTag,
     IntTag,
-    ObjTag,
     Pyobj,
     UApp,
     UClass,
@@ -198,6 +196,17 @@ def test_elimination_contexts_type_their_siblings():
     env, tag = type_context(ctx("let zz = 1 in HOLE(zz)"),
                             (("zz", INT_TAG),), PYOBJ)
     assert env == () and tag == PYOBJ
+
+
+def test_context_typing_is_principal_at_class_frames():
+    # the hole as super, as constructor and as member of a native class
+    for src in ("class P(HOLE) {a = 1} init lambda(v0): 0",
+                "class P() {a = 1} init HOLE",
+                "class P() {a = HOLE} init lambda(v0): 0"):
+        c = ctx(src)
+        want = infer((), {}, plug(c, UInt(1)))
+        assert want == ClassTag({"a"}, None)
+        assert type_context(c, (), INT_TAG) == ((), want), src
 
 
 def test_context_typing_composes_with_plugging():

@@ -4,7 +4,7 @@ determinism."""
 
 import random
 
-from anthill.core import Class, Dyn, Function, Int, Object
+from anthill.core import Dyn, Function, Int, Object
 from anthill.generate import (
     gen_native_expr,
     gen_type,
@@ -19,8 +19,6 @@ from anthill.upython import (
     UApp,
     UClass,
     UGet,
-    ULam,
-    ULet,
     USet,
     UVar,
 )

@@ -15,15 +15,11 @@ from anthill.printer import print_upython
 from anthill.runtime import (
     CastError,
     ClassH,
-    Found,
     Heap,
-    NOT_FOUND,
-    NULLARY_METHOD,
     ObjH,
     OpenTermError,
     PyError,
-    StepCastError,
-    StepPyError,
+    Stepped,
     Timeout,
     Value,
     call_arity,
@@ -42,15 +38,12 @@ from anthill.upython import (
     FunTag,
     IntTag,
     ObjTag,
-    Pyobj,
     UAddr,
     UApp,
-    UCheck,
     UGet,
     UInt,
     ULam,
     ULet,
-    USet,
     UVar,
     is_value,
 )
@@ -234,12 +227,12 @@ def test_metafunctions_agree_on_random_heaps():
                 want = o_lookup(heap, a, x, NATIVE)
                 got = lookup(a, heap[a], x, heap, NATIVE)
                 if want[0] == "found":
-                    assert isinstance(got, Found)
-                    assert alpha_normalize(got.value) == alpha_normalize(want[1])
+                    assert isinstance(got, Stepped) and got.rule == "EGet1"
+                    assert alpha_normalize(got.expr) == alpha_normalize(want[1])
                 elif want[0] == "absent":
-                    assert got is NOT_FOUND
+                    assert got == PyError(NATIVE, 1, "EGet3")
                 else:
-                    assert got is NULLARY_METHOD
+                    assert got == CastError(1, "EGet2")
 
 
 def test_check_examples():
@@ -270,10 +263,10 @@ def _by_stepping(e):
         if len(rules) >= AGREE_BUDGET:
             return ("timeout", len(rules)), rules
         r = step(e, heap)
-        if isinstance(r, StepCastError):
-            return ("casterror", len(rules) + 1), rules
-        if isinstance(r, StepPyError):
-            return ("pyerror", len(rules) + 1, r.label), rules
+        if isinstance(r, CastError):
+            return ("casterror", len(rules) + r.steps, r.rule), rules
+        if isinstance(r, PyError):
+            return ("pyerror", len(rules) + r.steps, r.label, r.rule), rules
         rules.append(r.rule)
         e = r.expr
     return ("value", len(rules), print_upython(alpha_normalize(e)),
@@ -288,23 +281,27 @@ def _by_running(e):
         return ("value", out.steps, print_upython(alpha_normalize(out.value)),
                 len(out.heap)), rules
     if isinstance(out, CastError):
-        return ("casterror", out.steps), rules
+        return ("casterror", out.steps, out.rule), rules
     if isinstance(out, PyError):
-        return ("pyerror", out.steps, out.label), rules
+        return ("pyerror", out.steps, out.label, out.rule), rules
     return ("timeout", out.steps), rules
 
 
 def _corpus():
+    """Each example program by file name, translated, and plugged with
+    the typed library where it is a context."""
     lib = translate_program(
         parse_anthill((PROGRAMS / "typed_call_lib.ant").read_text()))[0]
+    corpus = {}
     for path in sorted(PROGRAMS.iterdir()):
         text = path.read_text()
         if path.suffix == ".ant":
-            yield translate_program(parse_anthill(text))[0]
+            corpus[path.name] = translate_program(parse_anthill(text))[0]
         elif "HOLE" in text:
-            yield plug(parse_upython(text, allow_hole=True), lib)
+            corpus[path.name] = plug(parse_upython(text, allow_hole=True), lib)
         else:
-            yield parse_upython(text)
+            corpus[path.name] = parse_upython(text)
+    return corpus
 
 
 def _fuzz_programs(monkeypatch, seed, count):
@@ -323,7 +320,8 @@ def _fuzz_programs(monkeypatch, seed, count):
 def test_stepping_and_running_agree(monkeypatch):
     rng = random.Random(8086)
     omega = parse_upython("(lambda(x): x(x))(lambda(x): x(x))")
-    programs = [omega, *_corpus(), *_fuzz_programs(monkeypatch, 163, 600),
+    programs = [omega, *_corpus().values(),
+                *_fuzz_programs(monkeypatch, 163, 600),
                 *(translate_program(gen_typed_program(rng, 3 + i % 4)[0])[0]
                   for i in range(240))]
     kinds = set()
@@ -332,3 +330,54 @@ def test_stepping_and_running_agree(monkeypatch):
         assert _by_stepping(e) == (outcome, rules)
         kinds.add(outcome[0])
     assert kinds == {"value", "casterror", "pyerror", "timeout"}
+
+
+# ---------------------------------------------------------------------------
+# error outcomes name the rule that raised them
+
+PROGRAM_ERROR_RULES = {
+    "bad_call_context.upy": "ECheck2",
+    "class_late_init.ant": "ECheck2",
+    "point2d_early_read.ant": "ECheck2",
+    "read_missing_attr.ant": "ECheck2",
+    "native_call_error.upy": "EApp3",
+    "translated_call_error.upy": "EApp3",
+    "untyped_call.upy": "EApp3",
+}
+
+SNIPPET_ERROR_RULES = {
+    # a nullary method read through an object cannot take the receiver
+    "let c = (class C() {bad = lambda(): 7} init lambda(s): 0) in "
+    "let o = c() in o.bad": "EGet2",
+    "(class C() {} init lambda(s): 0)().zz!": "EGet3",
+    "1.zz": "EGet3",
+    "1.a = 2": "ESet4",
+    "class C(1) {} init lambda(s): 0": "EClass3",
+    "class! C() {} init 9": "EClass3",
+}
+
+
+def _error_rules(e):
+    """The rule that run's error outcome names, and the one that the
+    last step names when step is iterated."""
+    out = run(e, budget=AGREE_BUDGET)
+    heap = Heap()
+    for _ in range(AGREE_BUDGET):
+        r = step(e, heap)
+        if not isinstance(r, Stepped):
+            break
+        e = r.expr
+    assert isinstance(r, (CastError, PyError)) and r.steps == 1
+    assert isinstance(out, type(r)) and out.kind == r.kind
+    return out.rule, r.rule
+
+
+def test_program_error_outcomes_name_their_rule():
+    corpus = _corpus()
+    for name, rule in PROGRAM_ERROR_RULES.items():
+        assert _error_rules(corpus[name]) == (rule, rule), name
+
+
+def test_snippet_error_outcomes_name_their_rule():
+    for src, rule in SNIPPET_ERROR_RULES.items():
+        assert _error_rules(parse_upython(src)) == (rule, rule), src

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from anthill.core import DYN, INT, tag_of
+from anthill.core import DYN, tag_of
 from anthill.generate import gen_type, gen_typed_program, gen_typed_term
 from anthill.parser import parse_anthill, parse_upython
 from anthill.printer import print_anthill_type, print_upython

@@ -4,10 +4,8 @@ against its rule-by-rule transcription."""
 
 import random
 
-import pytest
-
 from anthill.parser import parse_upython
-from anthill.runtime import ClassH, Heap, ObjH
+from anthill.runtime import ClassH, Heap
 from anthill.upython import (
     ClassTag,
     FunTag,
