@@ -138,8 +138,8 @@ def cmd_fuzz(args) -> int:
     print(report.to_text(verbose=args.verbose), end="")
     if report.violations:
         if args.reproducer:
-            worst = shrink_violation(report.violations[0], config)
-            write_reproducer(args.reproducer, worst, config)
+            worst = shrink_violation(report.violations[0])
+            write_reproducer(args.reproducer, worst)
             print(f"reproducer written to {args.reproducer}",
                   file=sys.stderr)
         return int(ExitStatus.TRANSLATED_ERROR)

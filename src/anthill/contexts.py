@@ -9,6 +9,7 @@ plugged expression by design.
 
 from __future__ import annotations
 
+from .printer import print_tag
 from .upython import (
     NATIVE,
     PYOBJ,
@@ -128,8 +129,8 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
             if not tag_subtype(bound_tag, assumed):
                 raise TagError(
                     "context",
-                    f"let-bound expression has {bound_tag!r}, hole assumes "
-                    f"{assumed!r}")
+                    f"let-bound expression has {print_tag(bound_tag)}, hole "
+                    f"assumes {print_tag(assumed)}")
             continue  # the let has its body's tag, and its bound is typed
         kids = list(node.children())
         kids[i] = hole

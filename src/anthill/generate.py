@@ -18,7 +18,9 @@ explicit random.Random so runs are reproducible from a seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import (
     OPEN,
@@ -34,6 +36,7 @@ from .core import (
     Fun,
     Function,
     Get,
+    Int,
     IntLit,
     Let,
     Method,
@@ -71,6 +74,20 @@ TYPE_NAME_POOL = ("P", "Q", "R", "V")
 MAX_ARGS = MAX_ATTRS = 2
 
 
+def _table(*menu: tuple[str, int]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """A weighted menu as (kinds, cumulative weights)."""
+    return (tuple(kind for kind, _ in menu),
+            tuple(accumulate(weight for _, weight in menu)))
+
+
+def _pick(rng: random.Random, table) -> str:
+    """One weighted draw from a table: the kind random.Random.choices
+    returns for these weights and k=1, from the same single
+    rng.random() call, without accumulating the weights again."""
+    kinds, cum = table
+    return kinds[bisect_right(cum, rng.random() * cum[-1], 0, len(kinds) - 1)]
+
+
 def _openness(rng: random.Random):
     return OPEN if rng.random() < 0.5 else CLOSED
 
@@ -79,11 +96,14 @@ def _labels(rng: random.Random, count: int) -> list[str]:
     return rng.sample(LABEL_POOL, count)
 
 
+TYPE_MENU = _table(("dyn", 2), ("int", 3), ("fun", 2), ("obj", 2),
+                   ("class", 1))
+
+
 def gen_type(rng: random.Random, depth: int) -> AnthillType:
     if depth <= 0:
         return INT if rng.random() < 0.6 else DYN
-    kind = rng.choices(("dyn", "int", "fun", "obj", "class"),
-                       weights=(2, 3, 2, 2, 1))[0]
+    kind = _pick(rng, TYPE_MENU)
     if kind == "dyn":
         return DYN
     if kind == "int":
@@ -181,6 +201,23 @@ def leaf_term(rng: random.Random, goal: AnthillType) -> AnthillTerm:
 
 TypeEnv = dict[str, AnthillType]
 
+# gen_typed_term's menu by the goal's type class and whether some variable
+# in scope has the goal type
+_TERM_EXTRAS = {
+    Dyn: (("app_dyn", 2), ("get_check", 1)),
+    Int: (("set", 1), ("set_check", 1)),
+    Function: (("fun", 4),),
+    Object: (("construct", 4),),
+    Class: (("class_decl", 4),),
+}
+TERM_MENUS = {
+    (goal_class, has_var): _table(
+        ("leaf", 1), ("let", 2), ("app_fun", 2), ("get", 1),
+        *((("var", 3),) if has_var else ()), *extras)
+    for goal_class, extras in _TERM_EXTRAS.items()
+    for has_var in (False, True)
+}
+
 
 def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
                    depth: int) -> AnthillTerm:
@@ -191,22 +228,7 @@ def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
             return Var(rng.choice(candidates))
         return leaf_term(rng, goal)
 
-    menu: list[tuple[str, int]] = [("leaf", 1), ("let", 2), ("app_fun", 2),
-                                   ("get", 1)]
-    if candidates:
-        menu.append(("var", 3))
-    if isinstance(goal, Dyn):
-        menu.extend([("app_dyn", 2), ("get_check", 1)])
-    if goal == INT:
-        menu.extend([("set", 1), ("set_check", 1)])
-    if isinstance(goal, Function):
-        menu.append(("fun", 4))
-    if isinstance(goal, Object):
-        menu.append(("construct", 4))
-    if isinstance(goal, Class):
-        menu.append(("class_decl", 4))
-
-    kind = rng.choices([k for k, _ in menu], weights=[w for _, w in menu])[0]
+    kind = _pick(rng, TERM_MENUS[type(goal), bool(candidates)])
 
     if kind == "var":
         return Var(rng.choice(candidates))
@@ -392,9 +414,12 @@ def gen_typed_program(rng: random.Random,
 # untyped code
 
 
+TAG_MENU = _table(("pyobj", 3), ("int", 3), ("fun", 2), ("obj", 2),
+                  ("class", 1))
+
+
 def gen_tag(rng: random.Random) -> Tag:
-    kind = rng.choices(("pyobj", "int", "fun", "obj", "class"),
-                       weights=(3, 3, 2, 2, 1))[0]
+    kind = _pick(rng, TAG_MENU)
     if kind == "pyobj":
         return PYOBJ
     if kind == "int":
@@ -408,6 +433,17 @@ def gen_tag(rng: random.Random) -> Tag:
     return ClassTag(labels, arity)
 
 
+def _native_menu(var_weight: int):
+    # "var" keeps its slot at weight 0, so both tables index alike
+    return _table(("int", 2), ("var", var_weight), ("lam", 3), ("app", 3),
+                  ("let", 2), ("get", 2), ("set", 1), ("class", 1),
+                  ("check", 1))
+
+
+# by whether any variable is in scope
+NATIVE_MENUS = {False: _native_menu(0), True: _native_menu(3)}
+
+
 def gen_native_expr(rng: random.Random, scope: tuple[str, ...],
                     depth: int) -> UPyExpr:
     """Arbitrary untyped code over the given variables, all labels native."""
@@ -415,9 +451,7 @@ def gen_native_expr(rng: random.Random, scope: tuple[str, ...],
         if scope and rng.random() < 0.5:
             return UVar(rng.choice(scope))
         return UInt(rng.randint(0, 9))
-    kind = rng.choices(
-        ("int", "var", "lam", "app", "let", "get", "set", "class", "check"),
-        weights=(2, 3 if scope else 0, 3, 3, 2, 2, 1, 1, 1))[0]
+    kind = _pick(rng, NATIVE_MENUS[bool(scope)])
     if kind == "int":
         return UInt(rng.randint(0, 9))
     if kind == "var":
@@ -497,15 +531,17 @@ def gen_untyped_context(rng: random.Random, depth: int) -> GeneratedContext:
     return GeneratedContext(expr, binders)
 
 
+CONTEXT_MENU = _table(
+    ("let_bound", 2), ("let_body", 3), ("lam_body", 3), ("app_fn", 2),
+    ("app_arg", 2), ("get_subject", 2), ("set_subject", 1), ("set_value", 1),
+    ("check", 1), ("class_super", 1), ("class_ctor", 1), ("class_member", 1))
+
+
 def _gen_ctx(rng: random.Random, scope: tuple[str, ...],
              depth: int) -> tuple[UPyExpr, tuple[str, ...]]:
     if depth <= 0 or rng.random() < 0.12:
         return UHole(), scope
-    kind = rng.choices(
-        ("let_bound", "let_body", "lam_body", "app_fn", "app_arg",
-         "get_subject", "set_subject", "set_value", "check",
-         "class_super", "class_ctor", "class_member"),
-        weights=(2, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1))[0]
+    kind = _pick(rng, CONTEXT_MENU)
     if kind == "let_bound":
         name = rng.choice(BINDER_POOL)
         inner, binders = _gen_ctx(rng, scope, depth - 1)

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .contexts import plug, type_context, validate_context
-from .core import DYN, tag_of
-from .generate import gen_type, gen_typed_term, gen_untyped_context
+from .core import DYN, AnthillTerm, tag_of
+from .generate import GeneratedContext, TypeEnv, gen_type, gen_typed_term, \
+    gen_untyped_context
 from .printer import print_anthill_term, print_anthill_type, print_tag, \
     print_upython
 from .runtime import run
@@ -44,15 +46,37 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialReport:
+    """A trial's verdict. The report names its trial by seed and config
+    and does not keep the programs: term_text, type_text and
+    context_text draw the trial again from them on first use and print
+    it."""
+
     seed: int
-    term_text: str
-    type_text: str
-    context_text: str
+    config: TrialConfig
     binders: tuple[str, ...]
     outcome: str  # value, casterror, native-error, translated-error, timeout
     steps: int
     verdict: str  # pass or violation
     detail: str = ""
+
+    @cached_property
+    def _texts(self) -> tuple[str, str, str]:
+        ctx, env, term = draw_trial(self.seed, self.config)
+        _, term_ty = translate_term(env, term)
+        return (print_anthill_term(term), print_anthill_type(term_ty),
+                print_upython(ctx.expr))
+
+    @property
+    def term_text(self) -> str:
+        return self._texts[0]
+
+    @property
+    def type_text(self) -> str:
+        return self._texts[1]
+
+    @property
+    def context_text(self) -> str:
+        return self._texts[2]
 
     def line(self, index: int | None = None) -> str:
         head = f"trial {index:05d} " if index is not None else ""
@@ -64,57 +88,52 @@ def trial_seed(base_seed: int, index: int) -> int:
     return base_seed * SEED_STRIDE + index
 
 
-def soundness_trial(seed: int, config: TrialConfig = TrialConfig()
-                    ) -> TrialReport:
+def draw_trial(seed: int, config: TrialConfig
+               ) -> tuple[GeneratedContext, TypeEnv, AnthillTerm]:
+    """The trial's context, the term's environment at the hole and the
+    term, drawn from the seed: context first, then goal type, then
+    term."""
     rng = random.Random(seed)
     ctx = gen_untyped_context(rng, config.ctx_depth)
-    validate_context(ctx.expr)
-
     env = {name: DYN for name in ctx.binders}
     goal = gen_type(rng, max(1, config.term_depth // 2))
-    term = gen_typed_term(rng, env, goal, config.term_depth)
-    target, term_ty = translate_term(env, term)
+    return ctx, env, gen_typed_term(rng, env, goal, config.term_depth)
 
-    report = TrialReport(
-        seed=seed,
-        term_text=print_anthill_term(term),
-        type_text=print_anthill_type(term_ty),
-        context_text=print_upython(ctx.expr),
-        binders=ctx.binders,
-        outcome="", steps=0, verdict="")
+
+def soundness_trial(seed: int, config: TrialConfig = TrialConfig()
+                    ) -> TrialReport:
+    ctx, env, term = draw_trial(seed, config)
+    validate_context(ctx.expr)
+    target, term_ty = translate_term(env, term)
 
     hole_env = tuple((name, PYOBJ) for name in ctx.binders)
     hole_tag = tag_of(term_ty)
     if not verifies(hole_env, {}, target, hole_tag):
         raise HarnessError(
             f"seed {seed}: translated term failed tag verification at "
-            f"{print_tag(hole_tag)}\nterm: {report.term_text}\n"
+            f"{print_tag(hole_tag)}\nterm: {print_anthill_term(term)}\n"
             f"target: {print_upython(target)}")
     outer_env, program_tag = type_context(ctx.expr, hole_env, hole_tag)
     if outer_env != ():
         raise HarnessError(
             f"seed {seed}: plugged program is open, leftover binders "
-            f"{outer_env!r}\ncontext: {report.context_text}")
+            f"{outer_env!r}\ncontext: {print_upython(ctx.expr)}")
 
     outcome = run(plug(ctx.expr, target), budget=config.budget)
-    report = replace(report, outcome=outcome.kind, steps=outcome.steps,
-                     verdict="pass")
-
+    detail = ""
     if outcome.kind == "translated-error":
-        return replace(report, verdict="violation",
-                       detail="runtime error attributed to translated code")
-    if outcome.kind == "value":
+        detail = "runtime error attributed to translated code"
+    elif outcome.kind == "value":
         try:
             got = infer((), principal_heap_type(outcome.heap), outcome.value)
         except TagError as exc:
-            return replace(report, verdict="violation",
-                           detail=f"result value has no tag: TagError {exc}")
-        if not tag_subtype(got, program_tag):
-            return replace(
-                report, verdict="violation",
-                detail=(f"result tag {print_tag(got)} is not below the "
-                        f"program tag {print_tag(program_tag)}"))
-    return report
+            detail = f"result value has no tag: TagError {exc}"
+        else:
+            if not tag_subtype(got, program_tag):
+                detail = (f"result tag {print_tag(got)} is not below the "
+                          f"program tag {print_tag(program_tag)}")
+    return TrialReport(seed, config, ctx.binders, outcome.kind, outcome.steps,
+                       "violation" if detail else "pass", detail)
 
 
 @dataclass(frozen=True)
@@ -159,9 +178,9 @@ def run_trials(count: int, base_seed: int = 0,
     return FuzzReport(base_seed, config, tuple(reports))
 
 
-def shrink_violation(report: TrialReport,
-                     config: TrialConfig) -> TrialReport:
+def shrink_violation(report: TrialReport) -> TrialReport:
     """Smallest depth pair at which the same seed still misbehaves."""
+    config = report.config
     best = report
     found = False
     for total in range(2, config.term_depth + config.ctx_depth):
@@ -180,8 +199,9 @@ def shrink_violation(report: TrialReport,
     return best
 
 
-def write_reproducer(path: str, report: TrialReport,
-                     config: TrialConfig) -> None:
+def write_reproducer(path: str, report: TrialReport) -> None:
+    """Write the report's trial with the depths and budget it ran at."""
+    config = report.config
     with open(path, "w") as fh:
         fh.write("# open-world soundness violation\n")
         fh.write(f"# seed: {report.seed}\n")

@@ -10,6 +10,7 @@ with their own error.
 
 from __future__ import annotations
 
+from .printer import print_tag
 from .runtime import ClassH, Heap, ObjH, call_arity, hasattrs, param_match
 from .upython import (
     NATIVE,
@@ -105,7 +106,8 @@ def _demand(env: TagEnv, sigma: HeapType, e: UPyExpr, want: Tag,
             rule: str) -> None:
     got = _infer(env, sigma, e)
     if not tag_subtype(got, want):
-        raise TagError(rule, f"needs {want!r}, subexpression has {got!r}", e)
+        raise TagError(rule, f"needs {print_tag(want)}, subexpression has "
+                       f"{print_tag(got)}", e)
 
 
 def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
@@ -174,7 +176,8 @@ def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
             stag = _infer(env, sigma, s)
             if not (isinstance(stag, ClassTag)):
                 raise TagError(
-                    "class", f"superclass has non-class tag {stag!r}", s)
+                    "class",
+                    f"superclass has non-class tag {print_tag(stag)}", s)
             inherited |= stag.labels
         ctor_tag = _infer(env, sigma, e.ctor)
         arity = (ctor_tag.arity if isinstance(ctor_tag, (FunTag, ClassTag))
@@ -182,7 +185,8 @@ def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
         if arity is None or arity < 1:
             raise TagError(
                 "class",
-                f"constructor tag {ctor_tag!r} cannot take a receiver", e)
+                f"constructor tag {print_tag(ctor_tag)} cannot take a "
+                f"receiver", e)
         return ClassTag(own | inherited, arity - 1)
 
     raise TagError("expr", f"not a typeable expression: {e!r}", e)

@@ -368,6 +368,11 @@ def test_criterion_8_determinism_and_round_trip():
         second = run_trials(150, base_seed=7, config=config)
         assert first == second
         assert first.to_text(verbose=True) == second.to_text(verbose=True)
+        # reports name their trial by seed and config, so their equality
+        # does not cover the texts drawn again from them
+        for one, two in zip(first.trials, second.trials):
+            assert (one.term_text, one.type_text, one.context_text) == \
+                (two.term_text, two.type_text, two.context_text)
 
         rng = random.Random(88011)
         for i in range(10_000):

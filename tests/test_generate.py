@@ -4,8 +4,11 @@ determinism."""
 
 import random
 
+from anthill import generate
 from anthill.core import Dyn, Function, Int, Object
 from anthill.generate import (
+    _pick,
+    _table,
     gen_native_expr,
     gen_type,
     gen_typed_program,
@@ -121,3 +124,28 @@ def test_generation_is_deterministic_per_seed():
         ca = gen_untyped_context(random.Random(seed), 5)
         cb = gen_untyped_context(random.Random(seed), 5)
         assert ca == cb
+
+
+def _weights(table):
+    kinds, cum = table
+    return kinds, [b - a for a, b in zip((0,) + cum, cum)]
+
+
+def test_pick_draws_like_choices():
+    tables = [generate.TYPE_MENU, generate.TAG_MENU, generate.CONTEXT_MENU,
+              *generate.NATIVE_MENUS.values(), *generate.TERM_MENUS.values()]
+    rng = random.Random(7)
+    for _ in range(200):
+        count = rng.randint(1, 8)
+        weights = [rng.choice((0, 0, 1, 2, 3, 5, 11)) for _ in range(count)]
+        if not any(weights):
+            weights[rng.randrange(count)] = 1
+        tables.append(_table(*((f"k{i}", w) for i, w in enumerate(weights))))
+    for n, table in enumerate(tables):
+        kinds, weights = _weights(table)
+        for draw in range(50):
+            a = random.Random(n * 1000 + draw)
+            b = random.Random()
+            b.setstate(a.getstate())
+            assert _pick(a, table) == b.choices(kinds, weights)[0]
+            assert a.getstate() == b.getstate()

@@ -1,8 +1,11 @@
 """Fuzz harness behaviour: seed discipline, determinism, report text."""
 
+import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 from anthill import harness
+from anthill.cli import ExitStatus, main
 from anthill.harness import (
     SEED_STRIDE,
     FuzzReport,
@@ -15,10 +18,11 @@ from anthill.harness import (
     write_reproducer,
 )
 from anthill.parser import parse_anthill, parse_upython
-from anthill.runtime import Heap, Value
-from anthill.upython import UAddr
+from anthill.runtime import Heap, PyError, Value
+from anthill.upython import TRANSLATED, UAddr
 
 SMALL = TrialConfig(term_depth=3, ctx_depth=3, budget=2_000)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_trial_seed_stride():
@@ -87,10 +91,24 @@ def test_report_text_shape():
     assert trial_lines[0].startswith("trial 00000 seed=")
 
 
+def test_trial_texts_are_pinned():
+    # sha256 of the term, type and context texts of base seed 1's first
+    # 300 trials at the default depths, taken when every report still
+    # printed its texts as the trial ran
+    digest = hashlib.sha256()
+    for i in range(300):
+        r = soundness_trial(trial_seed(1, i))
+        digest.update(
+            f"{r.term_text}\x01{r.type_text}\x01{r.context_text}\x00"
+            .encode())
+    assert digest.hexdigest() == (
+        "b60f4e6beca4b1c9606b6c08dedc14791edc9ee718146a4478510fd740261463")
+
+
 def test_trial_line_formatting():
     trial = TrialReport(
-        seed=42, term_text="1", type_text="int", context_text="HOLE",
-        binders=(), outcome="value", steps=3, verdict="pass")
+        seed=42, config=SMALL, binders=(), outcome="value", steps=3,
+        verdict="pass")
     assert trial.line(7) == "trial 00007 seed=42 outcome=value steps=3 verdict=pass"
     assert trial.line() == "seed=42 outcome=value steps=3 verdict=pass"
 
@@ -112,8 +130,7 @@ def test_empty_batch():
 
 def _fake_violation() -> TrialReport:
     return TrialReport(
-        seed=99, term_text="1", type_text="int", context_text="HOLE",
-        binders=(), outcome="translated-error", steps=5,
+        seed=99, config=SMALL, binders=(), outcome="translated-error", steps=5,
         verdict="violation",
         detail="runtime error attributed to translated code")
 
@@ -132,14 +149,15 @@ def test_shrink_keeps_a_passing_report_unchanged():
     # has to hand back the original report
     report = soundness_trial(trial_seed(1, 5), SMALL)
     assert report.verdict == "pass"
-    assert shrink_violation(report, SMALL) == report
+    assert shrink_violation(report) == report
 
 
 def test_reproducer_file_contents(tmp_path):
     trial = soundness_trial(trial_seed(6, 2), SMALL)
     path = tmp_path / "repro.txt"
-    write_reproducer(str(path), trial, SMALL)
+    write_reproducer(str(path), trial)
     text = path.read_text()
+    assert text == (GOLDEN / "reproducer_6_2_small.txt").read_text()
     assert f"# seed: {trial.seed}" in text
     assert trial.term_text in text
     assert trial.context_text in text
@@ -152,7 +170,8 @@ def test_reproducer_file_contents(tmp_path):
 def test_reproducer_for_synthetic_violation(tmp_path):
     trial = _fake_violation()
     path = tmp_path / "bad.txt"
-    write_reproducer(str(path), trial, replace(SMALL, budget=77))
+    write_reproducer(str(path),
+                     replace(trial, config=replace(SMALL, budget=77)))
     text = path.read_text()
     assert "# detail: runtime error attributed to translated code" in text
     assert "budget: 77" in text
@@ -168,3 +187,29 @@ def test_untypeable_result_value_is_a_violation_not_a_crash(monkeypatch):
     assert (report.outcome, report.steps, report.verdict) == \
         ("value", 1, "violation")
     assert "TagError" in report.detail
+
+
+def _header_config(text: str) -> TrialConfig:
+    line = next(l for l in text.splitlines() if l.startswith("# term depth"))
+    values = [int(part.split(": ")[1]) for part in line[2:].split(", ")]
+    return TrialConfig(*values)
+
+
+def test_reproducer_header_states_the_depths_it_ran_at(tmp_path, capsys,
+                                                       monkeypatch):
+    # every run blames translated code, so the shrinker stops at the
+    # smallest depths, and the header must name those, not the batch's
+    monkeypatch.setattr(harness, "run", lambda *args, **kwargs:
+                        PyError(TRANSLATED, 1, "EApp3"))
+    path = tmp_path / "repro.txt"
+    assert main(["fuzz", "--trials", "1", "--seed", "1",
+                 "--reproducer", str(path)]) == ExitStatus.TRANSLATED_ERROR
+    capsys.readouterr()
+    text = path.read_text()
+    config = _header_config(text)
+    assert (config.term_depth, config.ctx_depth) == (1, 1)
+    seed = int(text.splitlines()[1].removeprefix("# seed: "))
+    again = soundness_trial(seed, config)
+    assert again.verdict == "violation"
+    assert f"(: {again.type_text})\n{again.term_text}\n" in text
+    assert f"# untyped context\n{again.context_text}\n" in text

@@ -2,8 +2,13 @@
 inference algorithm against declarative proof search, and heap typing
 against its rule-by-rule transcription."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import anthill
 from anthill.parser import parse_upython
 from anthill.runtime import ClassH, Heap
 from anthill.upython import (
@@ -249,3 +254,52 @@ def test_sigma_extends():
     assert not sigma_extends(s1, s2)
     assert sigma_extends(s1, s1)
     assert not sigma_extends({0: PYOBJ}, s1)  # lost precision
+
+
+# ---------------------------------------------------------------------------
+# error messages
+
+# Each TagError that names a tag, raised at an ObjTag or ClassTag of the
+# labels b and n, whose frozenset order follows the process's hash seed.
+_MESSAGES_SCRIPT = """
+from anthill.contexts import type_context
+from anthill.upython import (INT_TAG, TRANSLATED, ClassTag, ObjTag, UApp,
+                             UClass, UHole, ULet, UVar)
+from anthill.verify import TagError, infer
+
+bn_obj, bn_class = ObjTag(("b", "n")), ClassTag(("b", "n"), 0)
+env = {"o": bn_obj, "c": bn_class, "f": ClassTag((), 1)}
+cases = [
+    lambda: infer(env, {}, UApp(UVar("o"), (), TRANSLATED)),
+    lambda: infer(env, {}, UClass("P", (UVar("o"),), (), UVar("f"),
+                                  TRANSLATED)),
+    lambda: infer(env, {}, UClass("P", (), (), UVar("c"), TRANSLATED)),
+    lambda: type_context(ULet("y", UVar("o"), UHole()),
+                         (("o", bn_obj), ("y", INT_TAG)), INT_TAG),
+]
+for case in cases:
+    try:
+        case()
+    except TagError as exc:
+        print(exc)
+"""
+
+
+def test_tag_error_messages_do_not_depend_on_the_hash_seed():
+    src = str(Path(anthill.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", _MESSAGES_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines() == [
+        "app: needs fun[0], subexpression has obj{b, n}",
+        "class: superclass has non-class tag obj{b, n}",
+        "class: constructor tag class{b, n}[0] cannot take a receiver",
+        "context: let-bound expression has obj{b, n}, hole assumes int",
+    ]
