@@ -9,7 +9,7 @@ plugged expression by design.
 
 from __future__ import annotations
 
-from .printer import print_tag
+from .printer import print_tag, print_upython
 from .upython import (
     NATIVE,
     PYOBJ,
@@ -53,7 +53,7 @@ def validate_context(ctx: CodeContext) -> None:
         raise ContextError(f"context must have exactly one hole, found {n}")
     for e in nodes:
         if isinstance(e, UAddr):
-            raise ContextError(f"not a context form: {e!r}")
+            raise ContextError(f"not a context form: {print_upython(e)}")
         form = _FORM_NAME.get(type(e))
         if form is not None and e.label is not NATIVE:
             raise ContextError(f"context contains a translated-label {form}")
@@ -92,7 +92,7 @@ def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, int]]:
         kids = e.children()
         for i in reversed(range(len(kids))):
             stack.append((kids[i], (link, e, i)))
-    raise TagError("context", f"no hole beneath {ctx!r}", ctx)
+    raise TagError("context", f"no hole beneath {print_upython(ctx)}", ctx)
 
 
 def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag]:

@@ -99,10 +99,6 @@ class Function(AnthillType):
     params: tuple[AnthillType, ...]
     ret: AnthillType
 
-    def __init__(self, params, ret) -> None:
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "ret", ret)
-
 
 @dataclass(frozen=True, slots=True)
 class Object(AnthillType):
@@ -122,13 +118,6 @@ class Class(AnthillType):
     class_attrs: AttrTypes
     instance_attrs: AttrTypes
     ctor_params: tuple[AnthillType, ...]
-
-    def __init__(self, name, openness, class_attrs, instance_attrs, ctor_params):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "openness", openness)
-        object.__setattr__(self, "class_attrs", class_attrs)
-        object.__setattr__(self, "instance_attrs", instance_attrs)
-        object.__setattr__(self, "ctor_params", tuple(ctor_params))
 
 
 DYN = Dyn()
@@ -158,10 +147,6 @@ class App(AnthillTerm):
     fn: AnthillTerm
     args: tuple[AnthillTerm, ...]
 
-    def __init__(self, fn, args) -> None:
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "args", tuple(args))
-
 
 @dataclass(frozen=True, slots=True)
 class Get(AnthillTerm):
@@ -189,11 +174,6 @@ class Fun(AnthillTerm):
     ret: AnthillType
     body: AnthillTerm
 
-    def __init__(self, params, ret, body) -> None:
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "ret", ret)
-        object.__setattr__(self, "body", body)
-
 
 @dataclass(frozen=True, slots=True)
 class Method:
@@ -205,24 +185,12 @@ class Method:
     ret: AnthillType
     body: AnthillTerm
 
-    def __init__(self, name, receiver, params, ret, body) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "receiver", receiver)
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "ret", ret)
-        object.__setattr__(self, "body", body)
-
 
 @dataclass(frozen=True, slots=True)
 class Constructor:
     receiver: str
     params: tuple[tuple[str, AnthillType], ...]
     body: AnthillTerm
-
-    def __init__(self, receiver, params, body) -> None:
-        object.__setattr__(self, "receiver", receiver)
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "body", body)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,16 +204,7 @@ class ClassDecl(AnthillTerm):
     fields: tuple[tuple[str, AnthillTerm], ...]
     ctor: Constructor
 
-    def __init__(self, name, openness, class_attrs, instance_attrs, supers,
-                 methods, fields, ctor) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "openness", openness)
-        object.__setattr__(self, "class_attrs", class_attrs)
-        object.__setattr__(self, "instance_attrs", instance_attrs)
-        object.__setattr__(self, "supers", tuple(supers))
-        object.__setattr__(self, "methods", tuple(methods))
-        object.__setattr__(self, "fields", tuple(fields))
-        object.__setattr__(self, "ctor", ctor)
+    def __post_init__(self) -> None:
         seen = set()
         for lbl in [m.name for m in self.methods] + [l for l, _ in self.fields]:
             if lbl in seen:

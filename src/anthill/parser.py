@@ -376,9 +376,7 @@ class AnthillParser(_Parser):
     def attr_types(self) -> AttrTypes:
         self.expect("{")
         entries = []
-        while not self.at("}"):
-            if entries:
-                self.expect(",")
+        for _ in self.listed("}"):
             label_pos = self.pos
             label = self.ident("attribute label")
             self.expect(":")
@@ -386,7 +384,6 @@ class AnthillParser(_Parser):
             if any(l == label for l, _ in entries[:-1]):
                 raise self.fail(f"duplicate attribute label {label!r}",
                                 label_pos)
-        self.expect("}")
         return AttrTypes(entries)
 
     def type_(self) -> AnthillType:
@@ -459,9 +456,7 @@ class UPythonParser(_Parser):
             supers.append(self.expr())
         self.expect("{")
         members = []
-        while not self.at("}"):
-            if members:
-                self.expect(",")
+        for _ in self.listed("}"):
             label_pos = self.pos
             mlabel = self.ident("member label")
             if any(l == mlabel for l, _ in members):
@@ -469,7 +464,6 @@ class UPythonParser(_Parser):
                                 label_pos)
             self.expect("=")
             members.append((mlabel, self.expr()))
-        self.expect("}")
         self.expect("init")
         ctor = self.expr()
         return UClass(name, tuple(supers), tuple(members), ctor, label)

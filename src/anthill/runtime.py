@@ -12,7 +12,7 @@ offending elimination form.
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import repeat
 from dataclasses import dataclass, field, replace
 
 from .upython import (
@@ -59,39 +59,20 @@ class ClassH:
 HeapValue = ObjH | ClassH
 
 
-class Heap:
-    """Address -> heap value store with a monotone allocation counter.
-    Addresses are never reused; member maps are updated in place."""
+class Heap(dict[int, HeapValue]):
+    """Address -> heap value store. The next address is the number of
+    values allocated so far, so addresses are never reused; member maps
+    are updated in place."""
 
-    __slots__ = ("_store", "_next")
-
-    def __init__(self) -> None:
-        self._store: dict[int, HeapValue] = {}
-        self._next = 0
+    __slots__ = ()
 
     def alloc(self, h: HeapValue) -> int:
-        a = self._next
-        self._next += 1
-        self._store[a] = h
+        a = len(self)
+        self[a] = h
         return a
 
-    def __getitem__(self, addr: int) -> HeapValue:
-        return self._store[addr]
-
-    def __contains__(self, addr: int) -> bool:
-        return addr in self._store
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __iter__(self):
-        return iter(self._store)
-
-    def items(self):
-        return self._store.items()
-
     def __repr__(self) -> str:
-        return f"Heap({self._store!r})"
+        return f"Heap({dict.__repr__(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +193,6 @@ def check(v: UPyExpr, heap: Heap, tag: Tag) -> bool:
     raise TypeError(f"not a tag: {tag!r}")
 
 
-_fresh_counter = count()
-
-
-def _fresh(prefix: str) -> str:
-    # the $ namespace is unutterable in surface syntax, so these names
-    # can never collide with program variables
-    return f"${prefix}{next(_fresh_counter)}"
-
-
 def lookup(addr: int, h: HeapValue, label: str, heap: Heap, p: Label):
     """The step a member read on a heap value takes: Stepped (EGet1),
     CastError (EGet2) or PyError carrying p (EGet3, member absent).
@@ -235,7 +207,9 @@ def lookup(addr: int, h: HeapValue, label: str, heap: Heap, p: Label):
         if isinstance(found, ULam):
             if len(found.params) == 0:
                 return CastError(1, "EGet2")
-            rest = tuple(_fresh("r") for _ in found.params[1:])
+            # found is closed and $ is unutterable in surface syntax,
+            # so these names capture nothing
+            rest = tuple(f"$r{i}" for i in range(len(found.params) - 1))
             found = ULam(rest, UApp(found,
                                     (UAddr(addr),) + tuple(UVar(y) for y in rest),
                                     p))

@@ -17,14 +17,12 @@ from .core import (
     App,
     Class,
     ClassDecl,
-    Constructor,
     Dyn,
     Function,
     Get,
     IntLit,
     Let,
     Fun,
-    Method,
     MemsUndefined,
     Set,
     Var,
@@ -36,6 +34,7 @@ from .core import (
     subtype_consistent,
     tag_of,
 )
+from .printer import print_anthill_type
 from .upython import (
     TRANSLATED,
     ClassTag,
@@ -113,7 +112,8 @@ def translate_term(env: TypeEnv, t: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
         if queryable(subj_ty) is OPEN:
             return UGet(UCheck(subject, ObjTag((t.attr,))), t.attr, TRANSLATED), DYN
         raise StaticTypeError(
-            "get", f"no member {t.attr!r} on closed type {subj_ty!r}", t)
+            "get", f"no member {t.attr!r} on closed type "
+            f"{print_anthill_type(subj_ty)}", t)
 
     if isinstance(t, Set):
         subject, subj_ty = translate_term(env, t.subject)
@@ -124,8 +124,9 @@ def translate_term(env: TypeEnv, t: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
             if not subtype_consistent(value_ty, attr_ty):
                 raise StaticTypeError(
                     "set",
-                    f"value type {value_ty!r} does not flow into member "
-                    f"{t.attr!r} of type {attr_ty!r}", t)
+                    f"value type {print_anthill_type(value_ty)} does not "
+                    f"flow into member {t.attr!r} of type "
+                    f"{print_anthill_type(attr_ty)}", t)
             return USet(subject, t.attr, UCheck(value, tag_of(attr_ty)),
                         TRANSLATED), INT
         if queryable(subj_ty) is OPEN:
@@ -133,7 +134,8 @@ def translate_term(env: TypeEnv, t: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
             return USet(UCheck(subject, ObjTag(())), t.attr, value,
                         TRANSLATED), INT
         raise StaticTypeError(
-            "set", f"no member {t.attr!r} on closed type {subj_ty!r}", t)
+            "set", f"no member {t.attr!r} on closed type "
+            f"{print_anthill_type(subj_ty)}", t)
 
     if isinstance(t, Fun):
         return (_lambda(env, "fun", t.params, t.params, t.ret, t.body, t),
@@ -160,14 +162,16 @@ def translate_term(env: TypeEnv, t: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
                 if not subtype_consistent(arg_ty, param_ty):
                     raise StaticTypeError(
                         "app",
-                        f"argument type {arg_ty!r} does not flow into "
-                        f"parameter type {param_ty!r}", t)
+                        f"argument type {print_anthill_type(arg_ty)} does "
+                        f"not flow into parameter type "
+                        f"{print_anthill_type(param_ty)}", t)
             result_ty = (fn_ty.ret if isinstance(fn_ty, Function)
                          else instance_type(fn_ty))
             return (UCheck(UApp(fn, args, TRANSLATED), tag_of(result_ty)),
                     result_ty)
 
-        raise StaticTypeError("app", f"call of non-function type {fn_ty!r}", t)
+        raise StaticTypeError(
+            "app", f"call of non-function type {print_anthill_type(fn_ty)}", t)
 
     if isinstance(t, ClassDecl):
         return _translate_class(env, t)
@@ -180,7 +184,8 @@ def _mems_or_error(rule, ty, subterm):
         return mems(ty)
     except MemsUndefined:
         raise StaticTypeError(
-            rule, f"type {ty!r} has no attributes", subterm) from None
+            rule, f"type {print_anthill_type(ty)} has no attributes",
+            subterm) from None
 
 
 def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
@@ -194,14 +199,25 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
         super_exprs.append(UCheck(se, ClassTag(sm.names(), None)))
         super_mems.append(sm)
 
-    ctor_expr, _ = translate_constructor(env, t.ctor)
+    # the constructor's receiver is dynamically typed in its body and
+    # gets no entry check; its parameters are checked as in functions
+    c = t.ctor
+    ctor_expr = _lambda(env, "constructor", ((c.receiver, DYN),) + c.params,
+                        c.params, DYN, c.body, c)
 
+    # a method's receiver is typed at the instance type in its body and
+    # checked against that type's tag before the parameters; its member
+    # type has the receiver slot at the dynamic type, so it lines up
+    # with the class-attribute declarations and the lambda's arity
+    inst = instance_type(declared)
     local_types: dict[str, AnthillType] = {}
     method_members = []
     for m in t.methods:
-        me, mty = translate_method(env, declared, m)
+        params = ((m.receiver, inst),) + m.params
+        me = _lambda(env, "method", params, params, m.ret, m.body, m)
         method_members.append((m.name, me))
-        local_types[m.name] = mty
+        local_types[m.name] = Function(
+            (DYN,) + tuple(ty for _, ty in m.params), m.ret)
     field_members = []
     for name, fe in t.fields:
         fe2, fty = translate_term(env, fe)
@@ -225,8 +241,9 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
         if not subtype_consistent(provided, declared_ty):
             raise StaticTypeError(
                 "class",
-                f"definition of {name!r} has type {provided!r}, which does "
-                f"not flow into declared {declared_ty!r}", t)
+                f"definition of {name!r} has type "
+                f"{print_anthill_type(provided)}, which does not flow into "
+                f"declared {print_anthill_type(declared_ty)}", t)
 
     return (UClass(t.name, tuple(super_exprs),
                    tuple(method_members + field_members),
@@ -246,27 +263,6 @@ def _lambda(env: TypeEnv, rule: str, params, checked, ret: AnthillType,
     if not subtype_consistent(body_ty, ret):
         raise StaticTypeError(
             rule,
-            f"body type {body_ty!r} does not flow into declared return "
-            f"type {ret!r}", subterm)
+            f"body type {print_anthill_type(body_ty)} does not flow into "
+            f"declared return type {print_anthill_type(ret)}", subterm)
     return ULam(tuple(n for n, _ in params), _param_check_lets(checked, body))
-
-
-def translate_constructor(env: TypeEnv, c: Constructor) -> tuple[UPyExpr, tuple[AnthillType, ...]]:
-    """Translate a constructor to a lambda taking the receiver first.
-    The receiver is dynamically typed in the body and gets no entry
-    check; parameters are rebound through checks as in functions."""
-    return (_lambda(env, "constructor", ((c.receiver, DYN),) + c.params,
-                    c.params, DYN, c.body, c),
-            tuple(ty for _, ty in c.params))
-
-
-def translate_method(env: TypeEnv, cls: Class, m: Method) -> tuple[UPyExpr, AnthillType]:
-    """Translate a method of the given class. The receiver is typed at
-    the class's instance type in the body, rebound through a check
-    against that type's tag before the parameter checks. The returned
-    member type includes the receiver slot, at the dynamic type, so it
-    lines up with the class-attribute declarations and with the arity of
-    the emitted lambda."""
-    params = ((m.receiver, instance_type(cls)),) + m.params
-    return (_lambda(env, "method", params, params, m.ret, m.body, m),
-            Function((DYN,) + tuple(ty for _, ty in m.params), m.ret))

@@ -10,8 +10,8 @@ with their own error.
 
 from __future__ import annotations
 
-from .printer import print_tag
-from .runtime import ClassH, Heap, ObjH, call_arity, hasattrs, param_match
+from .printer import print_tag, print_upython
+from .runtime import ClassH, Heap, ObjH, call_arity, check
 from .upython import (
     NATIVE,
     ClassTag,
@@ -189,7 +189,7 @@ def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
                 f"receiver", e)
         return ClassTag(own | inherited, arity - 1)
 
-    raise TagError("expr", f"not a typeable expression: {e!r}", e)
+    raise TagError("expr", f"not a typeable expression: {print_upython(e)}", e)
 
 
 def verifies(env, sigma: HeapType, e: UPyExpr, want: Tag) -> bool:
@@ -204,38 +204,28 @@ def verifies(env, sigma: HeapType, e: UPyExpr, want: Tag) -> bool:
 # heap typing
 
 
-def _value_typeable(sigma: HeapType, v: UPyExpr) -> bool:
-    try:
-        _infer((), sigma, v)
-        return True
-    except TagError:
-        return False
+# the heap record each tag describes; no other tag describes one
+_RECORD = {ClassTag: ClassH, ObjTag: ObjH}
 
 
 def heap_ok(sigma: HeapType, heap: Heap) -> bool:
-    """Does the heap satisfy the heap type? Domains must agree exactly;
-    class entries need their labels reachable, their call arity to
-    match, class-tagged superclasses, and typeable member values;
-    object entries need reachable labels, a class-tagged class address,
-    and typeable member values. A pyobj entry constrains nothing."""
-    if set(sigma) != set(a for a in heap):
+    """Does the heap satisfy the heap type? Domains must agree exactly.
+    A class or object tag needs a record of its kind whose parents (a
+    class's superclasses, an object's class) are class-tagged, that
+    passes the runtime check at the tag, and whose member values are
+    typeable. A pyobj entry constrains nothing."""
+    if sigma.keys() != heap.keys():
         return False
     for addr, tag in sigma.items():
-        h = heap[addr]
         if isinstance(tag, Pyobj):
             continue
-        if isinstance(tag, ClassTag):
-            shaped = (isinstance(h, ClassH)
-                      and param_match(UAddr(addr), heap, tag.arity)
-                      and all(isinstance(sigma.get(s), ClassTag)
-                              for s in h.supers))
-        elif isinstance(tag, ObjTag):
-            shaped = (isinstance(h, ObjH)
-                      and isinstance(sigma.get(h.cls), ClassTag))
-        else:
-            return False
-        if not (shaped and hasattrs(addr, tag.labels, heap)
-                and all(_value_typeable(sigma, v)
+        h = heap[addr]
+        parents = (h.cls,) if isinstance(h, ObjH) else h.supers
+        # parents first: check searches them, so each must be in the heap
+        if not (type(h) is _RECORD.get(type(tag))
+                and all(isinstance(sigma.get(p), ClassTag) for p in parents)
+                and check(UAddr(addr), heap, tag)
+                and all(verifies((), sigma, v, PYOBJ)
                         for v in h.members.values())):
             return False
     return True

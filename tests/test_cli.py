@@ -276,7 +276,7 @@ _FAILING = {
 }
 PARSE_ANT = "error: 1:5: expected binder, found '='\n"
 PARSE_UPY = "error: 1:9: expected ',', found ':'\n"
-STATIC = "static type error: app: call of non-function type Int()\n"
+STATIC = "static type error: app: call of non-function type int\n"
 
 
 @pytest.mark.parametrize("argv, code, err", [

@@ -14,7 +14,11 @@ from anthill.core import (
     INT,
     AttrTypes,
     Class,
+    ClassDecl,
+    Constructor,
     Function,
+    IntLit,
+    Method,
     MemsUndefined,
     Object,
     OPEN,
@@ -29,6 +33,7 @@ from anthill.core import (
     tag_of,
 )
 from anthill.generate import gen_type
+from anthill.parser import ParseError, parse_anthill
 from anthill.upython import ClassTag, FunTag, IntTag, ObjTag, Pyobj
 
 from oracles import (
@@ -244,6 +249,17 @@ def test_tag_of_each_constructor():
 def test_attr_map_rejects_duplicates():
     with pytest.raises(ValueError):
         AttrTypes((("a", INT), ("a", DYN)))
+
+
+def test_class_declaration_rejects_a_method_and_field_sharing_a_label():
+    with pytest.raises(ValueError, match="duplicate member label 'm'"):
+        ClassDecl("C", OPEN, attrs(), attrs(), (),
+                  (Method("m", "self", (), INT, IntLit(0)),),
+                  (("m", IntLit(1)),), Constructor("self", (), IntLit(0)))
+    with pytest.raises(ParseError) as err:
+        parse_anthill("class C() [open; {}; {}] { m = meth(self) -> int: 0; "
+                      "m = 1; init = ctor(self): 0 }")
+    assert str(err.value) == "1:83: duplicate member label 'm'"
 
 
 def test_attr_map_equality_ignores_order_iteration_preserves_it():

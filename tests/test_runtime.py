@@ -137,6 +137,20 @@ def test_method_read_curries_the_receiver():
     assert out.value == UInt(5)
 
 
+def test_heap_allocates_in_order_and_prints_its_records():
+    heap = Heap()
+    assert [heap.alloc(ObjH(0)), heap.alloc(ObjH(0))] == [0, 1]
+    assert repr(heap) == ("Heap({0: ObjH(cls=0, members={}), "
+                          "1: ObjH(cls=0, members={})})")
+
+
+def test_curried_method_names_do_not_depend_on_earlier_runs():
+    src = ("let o = (class C() {m = lambda(s, x): x} init lambda(s): 0)() in "
+           "let a = o.m in o.m")
+    texts = [print_upython(run_src(src).value) for _ in range(2)]
+    assert texts == ["lambda($r0): (lambda(s, x): x)(@1, $r0)"] * 2
+
+
 def test_object_local_members_are_returned_raw():
     heap = Heap()
     c = heap.alloc(ClassH((), {}, ULam(("s",), UInt(0))))

@@ -140,6 +140,31 @@ def test_static_rejections(src, family):
     assert err.value.rule == family
 
 
+@pytest.mark.parametrize("src,message", [
+    ("class C() [closed; {m: int}; {}] "
+     "{ m = meth(self, x: int) -> int: x; init = ctor(self): 0 }",
+     "class: definition of 'm' has type (dyn, int) -> int, which does not "
+     "flow into declared int"),
+    ("fun(x: int) -> int: x(1)", "app: call of non-function type int"),
+    ("fun(c: class C open {}{}(int)) -> int: c(c)",
+     "app: argument type class C open {}{}(int) does not flow into "
+     "parameter type int"),
+    ("fun(x: int) -> (int) -> int: x",
+     "fun: body type int does not flow into declared return type "
+     "(int) -> int"),
+    ("fun(o: obj P closed {a: int}) -> dyn: o.b",
+     "get: no member 'b' on closed type obj P closed {a: int}"),
+    ("fun(x: int) -> int: x.a", "get: type int has no attributes"),
+    ("fun(o: obj P open {a: int}) -> int: o.a = (fun(x: int) -> int: x)",
+     "set: value type (int) -> int does not flow into member 'a' of type "
+     "int"),
+])
+def test_static_error_messages_print_types_in_concrete_syntax(src, message):
+    with pytest.raises(StaticTypeError) as err:
+        translated(src)
+    assert str(err.value) == message
+
+
 def test_wildcard_may_repeat_where_names_may_not():
     translated("fun(_: int, _: dyn) -> int: 0")
     with pytest.raises(StaticTypeError):

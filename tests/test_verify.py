@@ -10,7 +10,7 @@ from pathlib import Path
 
 import anthill
 from anthill.parser import parse_upython
-from anthill.runtime import ClassH, Heap
+from anthill.runtime import ClassH, Heap, ObjH
 from anthill.upython import (
     ClassTag,
     FunTag,
@@ -240,6 +240,29 @@ def test_heap_ok_requires_class_tagged_supers():
     assert not heap_ok(bad, heap)  # b is a class and its tag must say so
 
 
+def test_heap_ok_records_only_class_and_object_tags():
+    # check passes a class at the fun tag of its call arity and at an
+    # obj tag of its labels; heap typing wants a class tag for a class
+    # and an obj tag for an object
+    heap = Heap()
+    c = heap.alloc(ClassH((), {"a": UInt(1)}, ULam(("s", "x"), UInt(0))))
+    assert heap_ok({c: ClassTag({"a"}, 1)}, heap)
+    for tag in (FunTag(1), ObjTag({"a"}), INT_TAG):
+        assert not heap_ok({c: tag}, heap), tag
+    o = heap.alloc(ObjH(c, {}))
+    assert heap_ok({c: ClassTag({"a"}, 1), o: ObjTag({"a"})}, heap)
+    assert not heap_ok({c: ClassTag({"a"}, 1), o: ClassTag({"a"}, None)},
+                       heap)
+
+
+def test_heap_ok_rejects_dangling_parents_without_searching_them():
+    heap = Heap()
+    o = heap.alloc(ObjH(5, {}))
+    c = heap.alloc(ClassH((7,), {}, ULam(("s",), UInt(0))))
+    assert not heap_ok({o: ObjTag({"a"}), c: ClassTag(set(), 0)}, heap)
+    assert not heap_ok({o: PYOBJ, c: ClassTag({"a"}, 0)}, heap)
+
+
 def test_heap_ok_requires_member_values_to_be_typeable():
     heap = Heap()
     c = heap.alloc(ClassH((), {"a": UAddr(42)}, ULam(("s",), UInt(0))))
@@ -285,21 +308,60 @@ for case in cases:
 """
 
 
-def test_tag_error_messages_do_not_depend_on_the_hash_seed():
+def _under_hash_seeds(script: str) -> list[str]:
+    """The stdout of script run under PYTHONHASHSEED=1 and =2."""
     src = str(Path(anthill.__file__).resolve().parents[1])
     outputs = []
     for hash_seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                "PYTHONPATH": os.pathsep.join(
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        done = subprocess.run([sys.executable, "-c", _MESSAGES_SCRIPT],
+        done = subprocess.run([sys.executable, "-c", script],
                               env=env, capture_output=True, text=True,
                               timeout=60, check=True)
         outputs.append(done.stdout)
+    return outputs
+
+
+def test_tag_error_messages_do_not_depend_on_the_hash_seed():
+    outputs = _under_hash_seeds(_MESSAGES_SCRIPT)
     assert outputs[0] == outputs[1]
     assert outputs[0].splitlines() == [
         "app: needs fun[0], subexpression has obj{b, n}",
         "class: superclass has non-class tag obj{b, n}",
         "class: constructor tag class{b, n}[0] cannot take a receiver",
         "context: let-bound expression has obj{b, n}, hole assumes int",
+    ]
+
+
+# Each message that prints an expression, the first around a check at
+# an ObjTag whose frozenset order follows the process's hash seed.
+_EXPRESSION_MESSAGES_SCRIPT = """
+from anthill.contexts import ContextError, type_context, validate_context
+from anthill.upython import (INT_TAG, NATIVE, ObjTag, UAddr, UApp, UCheck,
+                             UHole, UInt)
+from anthill.verify import TagError, infer
+
+bn_obj = ObjTag(("b", "n"))
+cases = [
+    lambda: type_context(UCheck(UInt(1), bn_obj), (), INT_TAG),
+    lambda: validate_context(UApp(UHole(), (UCheck(UAddr(1), bn_obj),),
+                                  NATIVE)),
+    lambda: infer((), {}, UCheck(UHole(), bn_obj)),
+]
+for case in cases:
+    try:
+        case()
+    except (ContextError, TagError) as exc:
+        print(exc)
+"""
+
+
+def test_expression_messages_print_terms_not_reprs():
+    outputs = _under_hash_seeds(_EXPRESSION_MESSAGES_SCRIPT)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines() == [
+        "context: no hole beneath check(1, obj{b, n})",
+        "not a context form: @1",
+        "expr: not a typeable expression: HOLE",
     ]
