@@ -39,7 +39,7 @@ class ExitStatus(enum.IntEnum):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
 
 

@@ -116,7 +116,7 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
                 raise TagError(
                     "context",
                     f"hole environment does not end with the lambda binders "
-                    f"{expected!r}")
+                    f"{', '.join(map(repr, node.params))} at pyobj")
             env = env[:len(env) - k]
         elif isinstance(node, ULet) and i == 1:
             if len(env) == 0 or env[-1][0] != node.name:

@@ -16,12 +16,12 @@ from itertools import repeat
 from dataclasses import dataclass, field, replace
 
 from .upython import (
+    INT_TAG,
+    PYOBJ,
     ClassTag,
     FunTag,
-    IntTag,
     Label,
     ObjTag,
-    Pyobj,
     Tag,
     UAddr,
     UApp,
@@ -34,7 +34,9 @@ from .upython import (
     UPyExpr,
     USet,
     UVar,
+    class_arity,
     is_value,
+    tag_subtype,
 )
 
 
@@ -146,60 +148,45 @@ def getattr_(addr: int, label: str, heap: Heap) -> UPyExpr | None:
     return None
 
 
-def hasattrs(addr: int, names, heap: Heap) -> bool:
-    return all(getattr_(addr, x, heap) is not None for x in names)
-
-
-def call_arity(v: UPyExpr, heap: Heap) -> int | None:
-    """The number of arguments v can be called with, or None when v is
-    not callable. A class address takes its constructor's arity less
-    the receiver slot."""
+def value_tag(v: UPyExpr, heap: Heap) -> Tag:
+    """The value's own shallow tag, the least tag it passes `check` at:
+    an int or a lambda tags itself; a heap record is an object, or a
+    class of its constructor's call arity, with every label attribute
+    search finds (a dangling parent adds none); anything else is only a
+    pyobj."""
+    if isinstance(v, UInt):
+        return INT_TAG
     if isinstance(v, ULam):
-        return len(v.params)
-    if isinstance(v, UAddr) and v.addr in heap:
-        h = heap[v.addr]
-        if isinstance(h, ClassH):
-            inner = call_arity(h.ctor, heap)
-            if inner is not None and inner >= 1:
-                return inner - 1
-    return None
-
-
-def param_match(v: UPyExpr, heap: Heap, c: int | None) -> bool:
-    """Can v be called with c arguments? None asks only whether v is a
-    lambda or a class, whatever its arity."""
-    if c is None:
-        return isinstance(v, ULam) or (isinstance(v, UAddr) and v.addr in heap
-                                       and isinstance(heap[v.addr], ClassH))
-    return call_arity(v, heap) == c
+        return FunTag(len(v.params))
+    if not (isinstance(v, UAddr) and v.addr in heap):
+        return PYOBJ
+    labels, seen, todo = set(), set(), [v.addr]
+    while todo:
+        a = todo.pop()
+        if a not in seen and a in heap:
+            seen.add(a)
+            h = heap[a]
+            labels.update(h.members)
+            todo.extend((h.cls,) if isinstance(h, ObjH) else h.supers)
+    h = heap[v.addr]
+    if isinstance(h, ObjH):
+        return ObjTag(labels)
+    return ClassTag(labels, class_arity(value_tag(h.ctor, heap)))
 
 
 def check(v: UPyExpr, heap: Heap, tag: Tag) -> bool:
-    """Shallow tag test on a value."""
-    if isinstance(tag, Pyobj):
-        return True
-    if isinstance(tag, IntTag):
-        return isinstance(v, UInt)
-    if isinstance(tag, FunTag):
-        return param_match(v, heap, tag.arity)
-    if isinstance(tag, ObjTag):
-        return (isinstance(v, UAddr) and v.addr in heap
-                and hasattrs(v.addr, tag.labels, heap))
-    if isinstance(tag, ClassTag):
-        return (isinstance(v, UAddr) and v.addr in heap
-                and isinstance(heap[v.addr], ClassH)
-                and hasattrs(v.addr, tag.labels, heap)
-                and param_match(v, heap, tag.arity))
-    raise TypeError(f"not a tag: {tag!r}")
+    """Shallow tag test on a value: its own tag lies below tag."""
+    return tag_subtype(value_tag(v, heap), tag)
 
 
-def lookup(addr: int, h: HeapValue, label: str, heap: Heap, p: Label):
+def lookup(addr: int, label: str, heap: Heap, p: Label):
     """The step a member read on a heap value takes: Stepped (EGet1),
     CastError (EGet2) or PyError carrying p (EGet3, member absent).
     Object-local members win and are returned raw. A method found
     through the class chain is curried over the receiver; a nullary one
     cannot take the receiver at all, which is a cast error. Class
     receivers delegate straight to attribute search."""
+    h = heap[addr]
     if isinstance(h, ObjH):
         if label in h.members:
             return Stepped(h.members[label], "EGet1")
@@ -304,8 +291,7 @@ def _contract(e: UPyExpr, heap: Heap) -> Stepped | CastError | PyError:
 
     if isinstance(e, UGet):
         if isinstance(e.subject, UAddr) and e.subject.addr in heap:
-            return lookup(e.subject.addr, heap[e.subject.addr], e.attr,
-                          heap, e.label)
+            return lookup(e.subject.addr, e.attr, heap, e.label)
         return PyError(e.label, 1, "EGet3")
 
     if isinstance(e, USet):
@@ -315,15 +301,11 @@ def _contract(e: UPyExpr, heap: Heap) -> Stepped | CastError | PyError:
         return PyError(e.label, 1, "ESet4")
 
     if isinstance(e, UClass):
-        super_addrs = []
-        for s in e.supers:
-            if not (isinstance(s, UAddr) and s.addr in heap
-                    and isinstance(heap[s.addr], ClassH)):
-                return PyError(e.label, 1, "EClass3")
-            super_addrs.append(s.addr)
-        if not param_match(e.ctor, heap, None):
+        if not (all(isinstance(value_tag(s, heap), ClassTag) for s in e.supers)
+                and isinstance(value_tag(e.ctor, heap), (FunTag, ClassTag))):
             return PyError(e.label, 1, "EClass3")
-        a = heap.alloc(ClassH(tuple(super_addrs), dict(e.members), e.ctor))
+        a = heap.alloc(ClassH(tuple(s.addr for s in e.supers),
+                              dict(e.members), e.ctor))
         return Stepped(UAddr(a), "EClass")
 
     if isinstance(e, UVar):

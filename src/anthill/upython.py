@@ -26,7 +26,7 @@ TRANSLATED = Label.TRANSLATED
 
 
 # ---------------------------------------------------------------------------
-# runtime tags
+# runtime tags and the subtag order
 
 
 class Tag:
@@ -72,6 +72,35 @@ class ClassTag(Tag):
 
 PYOBJ = Pyobj()
 INT_TAG = IntTag()
+
+
+def tag_subtype(s1: Tag, s2: Tag) -> bool:
+    """Reflexive-transitive subtag order with pyobj on top, width order
+    on member-name sets, and classes usable as objects and as
+    constructors of their call arity."""
+    if isinstance(s2, Pyobj):
+        return True
+    if s1 == s2:
+        return True
+    if isinstance(s1, ObjTag) and isinstance(s2, ObjTag):
+        return s2.labels <= s1.labels
+    if isinstance(s1, ClassTag):
+        if isinstance(s2, ClassTag):
+            return (s2.labels <= s1.labels
+                    and (s1.arity == s2.arity or s2.arity is None))
+        if isinstance(s2, ObjTag):
+            return s2.labels <= s1.labels
+        if isinstance(s2, FunTag):
+            return s1.arity == s2.arity and s1.arity is not None
+    return False
+
+
+def class_arity(ctor: Tag) -> int | None:
+    """The call arity of a class whose constructor has tag ctor: the
+    constructor's arity less the receiver slot, or None when it cannot
+    take a receiver."""
+    arity = ctor.arity if isinstance(ctor, (FunTag, ClassTag)) else None
+    return arity - 1 if arity else None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ with their own error.
 from __future__ import annotations
 
 from .printer import print_tag, print_upython
-from .runtime import ClassH, Heap, ObjH, call_arity, check
+from .runtime import ClassH, Heap, ObjH, check, value_tag
 from .upython import (
     NATIVE,
     ClassTag,
@@ -32,6 +32,8 @@ from .upython import (
     UVar,
     PYOBJ,
     INT_TAG,
+    class_arity,
+    tag_subtype,
 )
 
 TagEnv = tuple[tuple[str, Tag], ...]
@@ -65,31 +67,6 @@ def env_lookup(env: TagEnv, name: str) -> Tag | None:
         if n == name:
             return t
     return None
-
-
-# ---------------------------------------------------------------------------
-# tag subtyping
-
-
-def tag_subtype(s1: Tag, s2: Tag) -> bool:
-    """Reflexive-transitive subtag order with pyobj on top, width order
-    on member-name sets, and classes usable as objects and as
-    constructors of their call arity."""
-    if isinstance(s2, Pyobj):
-        return True
-    if s1 == s2:
-        return True
-    if isinstance(s1, ObjTag) and isinstance(s2, ObjTag):
-        return s2.labels <= s1.labels
-    if isinstance(s1, ClassTag):
-        if isinstance(s2, ClassTag):
-            return (s2.labels <= s1.labels
-                    and (s1.arity == s2.arity or s2.arity is None))
-        if isinstance(s2, ObjTag):
-            return s2.labels <= s1.labels
-        if isinstance(s2, FunTag):
-            return s1.arity == s2.arity and s1.arity is not None
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +157,13 @@ def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
                     f"superclass has non-class tag {print_tag(stag)}", s)
             inherited |= stag.labels
         ctor_tag = _infer(env, sigma, e.ctor)
-        arity = (ctor_tag.arity if isinstance(ctor_tag, (FunTag, ClassTag))
-                 else None)
-        if arity is None or arity < 1:
+        arity = class_arity(ctor_tag)
+        if arity is None:
             raise TagError(
                 "class",
                 f"constructor tag {print_tag(ctor_tag)} cannot take a "
                 f"receiver", e)
-        return ClassTag(own | inherited, arity - 1)
+        return ClassTag(own | inherited, arity)
 
     raise TagError("expr", f"not a typeable expression: {print_upython(e)}", e)
 
@@ -221,7 +197,6 @@ def heap_ok(sigma: HeapType, heap: Heap) -> bool:
             continue
         h = heap[addr]
         parents = (h.cls,) if isinstance(h, ObjH) else h.supers
-        # parents first: check searches them, so each must be in the heap
         if not (type(h) is _RECORD.get(type(tag))
                 and all(isinstance(sigma.get(p), ClassTag) for p in parents)
                 and check(UAddr(addr), heap, tag)
@@ -231,33 +206,10 @@ def heap_ok(sigma: HeapType, heap: Heap) -> bool:
     return True
 
 
-def _reachable_labels(addr: int, heap: Heap, memo: dict) -> frozenset[str]:
-    if addr in memo:
-        return memo[addr]
-    h = heap[addr]
-    labels = frozenset(h.members)
-    if isinstance(h, ObjH):
-        labels |= _reachable_labels(h.cls, heap, memo)
-    else:
-        for s in h.supers:
-            labels |= _reachable_labels(s, heap, memo)
-    memo[addr] = labels
-    return labels
-
-
 def principal_heap_type(heap: Heap) -> HeapType:
-    """Most precise heap type the heap satisfies: every reachable label
-    is recorded and class call arities are exact where the constructor
-    determines one."""
-    memo: dict = {}
-    sigma: HeapType = {}
-    for addr, h in heap.items():
-        labels = _reachable_labels(addr, heap, memo)
-        if isinstance(h, ClassH):
-            sigma[addr] = ClassTag(labels, call_arity(UAddr(addr), heap))
-        else:
-            sigma[addr] = ObjTag(labels)
-    return sigma
+    """Most precise heap type the heap satisfies: each address at its
+    record's own tag."""
+    return {a: value_tag(UAddr(a), heap) for a in heap}
 
 
 def sigma_extends(sigma2: HeapType, sigma1: HeapType) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from anthill.runtime import ClassH, Heap, ObjH
+from anthill.runtime import ClassH, Heap, ObjH, check, value_tag
 from anthill.upython import (
     NATIVE,
     TRANSLATED,
@@ -120,6 +120,15 @@ def rand_value(rng: random.Random, heap: Heap) -> UPyExpr:
     if roll == 2 and len(heap):
         return UAddr(rng.randrange(len(heap)))
     return UAddr(rng.randint(0, len(heap) + 2))  # possibly dangling
+
+
+def callable_with(v: UPyExpr, heap: Heap, c: int | None) -> bool:
+    """Can v be called with c arguments, asked through the library's
+    tags: a check at fun[c], or, with c None, whether v's own tag is a
+    function or class tag of any arity."""
+    if c is None:
+        return isinstance(value_tag(v, heap), (FunTag, ClassTag))
+    return check(v, heap, FunTag(c))
 
 
 def build_diamond_heap() -> tuple[Heap, dict[str, int]]:

@@ -35,14 +35,12 @@ from anthill.runtime import (
     Value,
     check,
     getattr_,
-    hasattrs,
     lookup,
-    param_match,
     run,
     step,
 )
 from anthill.translate import translate_program, translate_term
-from anthill.upython import PYOBJ, Label, UInt, is_value
+from anthill.upython import PYOBJ, Label, ObjTag, UAddr, UInt, is_value
 from anthill.verify import (
     TagError,
     heap_ok,
@@ -55,6 +53,7 @@ from anthill.verify import (
 from helpers import (
     HEAP_LABELS,
     build_diamond_heap,
+    callable_with,
     enumerate_terms,
     rand_bounded_expr,
     rand_layered_heap,
@@ -273,7 +272,7 @@ def test_criterion_5_stepwise_reverification():
 # ------------------------------------------------------------- criterion 6
 
 def _assert_lookup_agrees(heap, addr, label):
-    got = lookup(addr, heap[addr], label, heap, Label.NATIVE)
+    got = lookup(addr, label, heap, Label.NATIVE)
     want = o_lookup(heap, addr, label, Label.NATIVE)
     if isinstance(got, Stepped):
         assert want[0] == "found" and got.rule == "EGet1"
@@ -312,13 +311,14 @@ def test_criterion_6_metafunction_oracles():
                 counts["getattr"] += 1
 
                 wanted = tuple(rng.sample(labels, rng.randint(0, 3)))
-                assert hasattrs(addr, wanted, heap) == \
+                assert check(UAddr(addr), heap, ObjTag(wanted)) == \
                     o_hasattrs(heap, addr, wanted)
                 counts["hasattrs"] += 1
 
                 pv = rand_value(rng, heap)
                 c = rng.choice((None, 0, 1, 2, 3))
-                assert param_match(pv, heap, c) == o_param_match(heap, pv, c)
+                assert callable_with(pv, heap, c) == \
+                    o_param_match(heap, pv, c)
                 counts["param_match"] += 1
 
                 _assert_lookup_agrees(heap, rng.choice(addrs),

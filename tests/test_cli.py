@@ -256,6 +256,20 @@ def test_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{bad}"],
+    ["check", "{bad}"],
+    ["embed", "--typed", "programs/typed_call_lib.ant", "--context", "{bad}"],
+], ids=["run", "check", "embed-context"])
+def test_undecodable_file_is_a_usage_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.upy"
+    bad.write_bytes(b"\xff")
+    assert main([a.format(bad=bad) for a in argv]) == ExitStatus.USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "decode" in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "fuzz" in capsys.readouterr().out

@@ -173,6 +173,17 @@ def test_lambda_context_strips_its_binders():
         type_context(ctx("lambda(x): HOLE"), (), INT_TAG)  # binder missing
 
 
+def test_binder_messages_name_the_binders():
+    with pytest.raises(TagError) as lam:
+        type_context(ULam(("x", "y"), UHole()), (("x", INT_TAG),), INT_TAG)
+    assert str(lam.value) == ("context: hole environment does not end with "
+                              "the lambda binders 'x', 'y' at pyobj")
+    with pytest.raises(TagError) as let:
+        type_context(ctx("let y = 1 in HOLE"), (), PYOBJ)
+    assert str(let.value) == ("context: hole environment does not end with "
+                              "the let binder 'y'")
+
+
 def test_let_body_hole_checks_the_assumed_binder_tag():
     c = ctx("let y = 1 in HOLE")
     assert type_context(c, (("y", INT_TAG),), PYOBJ) == ((), PYOBJ)

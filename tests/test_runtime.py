@@ -22,15 +22,13 @@ from anthill.runtime import (
     Stepped,
     Timeout,
     Value,
-    call_arity,
     check,
     getattr_,
-    hasattrs,
     lookup,
-    param_match,
     run,
     step,
     substitute,
+    value_tag,
 )
 from anthill.upython import (
     NATIVE,
@@ -46,11 +44,14 @@ from anthill.upython import (
     ULet,
     UVar,
     is_value,
+    tag_subtype,
 )
 from anthill.translate import translate_program
 
 from helpers import (
+    HEAP_LABELS,
     build_diamond_heap,
+    callable_with,
     rand_layered_heap,
     rand_tag,
     rand_value,
@@ -63,6 +64,7 @@ from oracles import (
     o_hasattrs,
     o_lookup,
     o_param_match,
+    tag_universe,
 )
 
 
@@ -231,15 +233,17 @@ def test_metafunctions_agree_on_random_heaps():
                 tag = rand_tag(rng, labels=("a", "b", "m"))
                 assert check(v, heap, tag) == o_check(heap, v, tag)
             for c in (None, 0, 1, 2, 3):
-                assert param_match(v, heap, c) == o_param_match(heap, v, c)
+                assert callable_with(v, heap, c) == o_param_match(heap, v, c)
+            arity = getattr(value_tag(v, heap), "arity", None)
             for c in range(5):
-                assert (call_arity(v, heap) == c) == o_param_match(heap, v, c)
+                assert (arity == c) == o_param_match(heap, v, c)
         for a in addrs:
             for x in labels:
                 assert getattr_(a, x, heap) == o_getattr(heap, a, x)
-                assert hasattrs(a, (x,), heap) == o_hasattrs(heap, a, (x,))
+                assert (check(UAddr(a), heap, ObjTag((x,)))
+                        == o_hasattrs(heap, a, (x,)))
                 want = o_lookup(heap, a, x, NATIVE)
-                got = lookup(a, heap[a], x, heap, NATIVE)
+                got = lookup(a, x, heap, NATIVE)
                 if want[0] == "found":
                     assert isinstance(got, Stepped) and got.rule == "EGet1"
                     assert alpha_normalize(got.expr) == alpha_normalize(want[1])
@@ -247,6 +251,23 @@ def test_metafunctions_agree_on_random_heaps():
                     assert got == PyError(NATIVE, 1, "EGet3")
                 else:
                     assert got == CastError(1, "EGet2")
+
+
+def test_check_is_the_tag_order_over_the_value_tag():
+    universe = tag_universe(HEAP_LABELS + ("g", "own"))
+    heaps = [rand_layered_heap(random.Random(seed)) for seed in seeds(40)]
+    heaps.append(build_diamond_heap()[0])
+    compared = 0
+    for heap in heaps:
+        values = [UAddr(a) for a in range(len(heap) + 2)]  # two dangling
+        values += [UInt(4), ULam((), UInt(0)), ULam(("x", "y"), UVar("x"))]
+        for v in values:
+            own = value_tag(v, heap)
+            assert o_check(heap, v, own), (v, own)
+            for t in universe:
+                assert o_check(heap, v, t) == tag_subtype(own, t), (v, t)
+                compared += 1
+    assert compared >= 100_000
 
 
 def test_check_examples():

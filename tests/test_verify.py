@@ -263,6 +263,14 @@ def test_heap_ok_rejects_dangling_parents_without_searching_them():
     assert not heap_ok({o: PYOBJ, c: ClassTag({"a"}, 0)}, heap)
 
 
+def test_heap_ok_rejects_a_dangling_grandparent():
+    # the object's class is in the heap, but that class's superclass is not
+    heap = Heap()
+    o = heap.alloc(ObjH(1, {}))
+    c = heap.alloc(ClassH((9,), {}, ULam(("s",), UInt(0))))
+    assert not heap_ok({o: ObjTag({"a"}), c: ClassTag(set(), 0)}, heap)
+
+
 def test_heap_ok_requires_member_values_to_be_typeable():
     heap = Heap()
     c = heap.alloc(ClassH((), {"a": UAddr(42)}, ULam(("s",), UInt(0))))
