@@ -48,6 +48,18 @@ def _usage_error(message: str) -> int:
     return int(ExitStatus.USAGE)
 
 
+def _count(text: str) -> int:
+    """The type of a count option: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _detect_language(path: str, override: str | None) -> str:
     if override:
         return override
@@ -167,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a program to an outcome")
     p.add_argument("file")
     p.add_argument("--lang", choices=("anthill", "upython"))
-    p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=_count, default=10 ** 6)
     p.add_argument("--trace", action="store_true",
                    help="print each step rule to stderr")
     p.set_defaults(fn=cmd_run)
@@ -183,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "hole and run the result")
     p.add_argument("--typed", required=True)
     p.add_argument("--context", required=True)
-    p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=_count, default=10 ** 6)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("fuzz", help="run open-world soundness trials")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--term-depth", type=int, default=5)
-    p.add_argument("--ctx-depth", type=int, default=5)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--term-depth", type=_count, default=5)
+    p.add_argument("--ctx-depth", type=_count, default=5)
+    p.add_argument("--budget", type=_count, default=10_000)
     p.add_argument("--verbose", action="store_true",
                    help="print one line per trial")
     p.add_argument("--reproducer", metavar="PATH",

@@ -27,7 +27,7 @@ from .upython import (
     is_value,
     walk,
 )
-from .verify import TagEnv, TagError, env_extend, infer, tag_env, tag_subtype
+from .verify import TagEnv, TagError, infer, tag_env, tag_subtype
 
 CodeContext = UPyExpr
 
@@ -134,5 +134,5 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
             continue  # the let has its body's tag, and its bound is typed
         kids = list(node.children())
         kids[i] = hole
-        tag = infer(env_extend(env, (hole.name, tag)), {}, node.rebuild(kids))
+        tag = infer(env + ((hole.name, tag),), {}, node.rebuild(kids))
     return env, tag

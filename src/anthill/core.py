@@ -277,11 +277,7 @@ def subtype_consistent(a: AnthillType, b: AnthillType) -> bool:
     if isinstance(a, Class) and isinstance(b, Object):
         return _attrs_subtype_consistent(a.class_attrs, b.attrs)
     if isinstance(a, Class) and isinstance(b, Function):
-        # a class used as a factory for its instances
-        return (len(a.ctor_params) == len(b.params)
-                and all(subtype_consistent(q, p)
-                        for p, q in zip(a.ctor_params, b.params))
-                and subtype_consistent(instance_type(a), b.ret))
+        return subtype_consistent(factory_type(a), b)
     return False
 
 
@@ -289,6 +285,11 @@ def instance_type(c: Class) -> Object:
     """Type of the objects a class constructs."""
     return Object(c.name, c.openness,
                   instantiate(c.class_attrs, c.instance_attrs))
+
+
+def factory_type(c: Class) -> Function:
+    """A class used as a factory for its instances."""
+    return Function(c.ctor_params, instance_type(c))
 
 
 class MemsUndefined(Exception):

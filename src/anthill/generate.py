@@ -135,53 +135,72 @@ def gen_type(rng: random.Random, depth: int) -> AnthillType:
 # typed terms
 
 
-def _lift(ty: Function) -> Function:
-    # receiver-inclusive version of a member function type
-    return Function((DYN,) + tuple(ty.params), ty.ret)
+def _has_receiver(ty: AnthillType) -> bool:
+    return isinstance(ty, Function) and len(ty.params) >= 1
 
 
-def _assign_chain(receiver: str, assigns, result: AnthillTerm) -> AnthillTerm:
-    body = result
+def _members(entries, cls: Class, sub) -> tuple[tuple, tuple]:
+    """The methods and fields realising class-side attribute types, in
+    the order given: a method for a function type with a receiver slot,
+    otherwise a field. Each body is sub(scope, type), where scope holds
+    the bindings the body adds to the enclosing environment."""
+    methods, fields = [], []
+    for label, ty in entries:
+        if _has_receiver(ty):
+            params = tuple((f"v{i}", p) for i, p in enumerate(ty.params[1:]))
+            scope = {"self": instance_type(cls), **dict(params)}
+            methods.append(Method(label, "self", params, ty.ret,
+                                  sub(scope, ty.ret)))
+        else:
+            fields.append((label, sub({}, ty)))
+    return tuple(methods), tuple(fields)
+
+
+def _ctor(params, assigns) -> Constructor:
+    """A constructor over params that sets each (label, term) of assigns
+    on self, in order."""
+    body = IntLit(0)
     for label, value in reversed(assigns):
-        body = Let("_", Set(Var(receiver), label, value), body)
-    return body
+        body = Let("_", Set(Var("self"), label, value), body)
+    return Constructor("self", params, body)
+
+
+def _constructor(goal: Class, sub) -> Constructor:
+    """A constructor taking goal's constructor parameters. Each instance
+    attribute comes from the first parameter of its type, or else from
+    sub(scope, type)."""
+    params = tuple((f"a{i}", ty) for i, ty in enumerate(goal.ctor_params))
+    scope = {"self": DYN, **dict(params)}
+    assigns = []
+    for label, ty in goal.instance_attrs.items():
+        source = next((Var(name) for name, pty in params if pty == ty), None)
+        assigns.append((label, sub(scope, ty) if source is None else source))
+    return _ctor(params, assigns)
+
+
+def _installer(prefix: str, entries) -> Constructor:
+    """A constructor with one parameter per attribute, prefix0, prefix1,
+    …, that sets each attribute from its own parameter."""
+    params = tuple((f"{prefix}{i}", ty) for i, (_, ty) in enumerate(entries))
+    return _ctor(params, [(label, Var(name))
+                          for (label, _), (name, _) in zip(entries, params)])
 
 
 def _leaf_object(goal: Object, rng: random.Random) -> AnthillTerm:
-    # a nullary class whose constructor installs every declared attribute
-    params = tuple((f"v{i}", ty) for i, (_, ty) in enumerate(goal.attrs.items()))
-    assigns = [(label, Var(f"v{i}"))
-               for i, (label, _) in enumerate(goal.attrs.items())]
-    ctor = Constructor("self", params, _assign_chain("self", assigns, IntLit(0)))
+    # a memberless class whose constructor installs every declared attribute
+    entries = goal.attrs.entries
     cls = ClassDecl(goal.name, goal.openness, AttrTypes(()), goal.attrs,
-                    (), (), (), ctor)
-    args = tuple(leaf_term(rng, ty) for _, ty in goal.attrs.items())
-    return App(cls, args)
+                    (), (), (), _installer("v", entries))
+    return App(cls, tuple(leaf_term(rng, ty) for _, ty in entries))
 
 
 def _leaf_class(goal: Class, rng: random.Random) -> AnthillTerm:
-    methods = []
-    fields = []
-    for label, ty in goal.class_attrs.items():
-        if isinstance(ty, Function) and len(ty.params) >= 1:
-            mparams = tuple((f"v{i}", p)
-                            for i, p in enumerate(ty.params[1:]))
-            methods.append(Method(label, "self", mparams, ty.ret,
-                                  leaf_term(rng, ty.ret)))
-        else:
-            fields.append((label, leaf_term(rng, ty)))
-    cparams = tuple((f"a{i}", ty) for i, ty in enumerate(goal.ctor_params))
-    assigns = []
-    for label, ty in goal.instance_attrs.items():
-        source = next((Var(f"a{i}") for i, pty in enumerate(goal.ctor_params)
-                       if pty == ty), None)
-        assigns.append((label, source if source is not None
-                        else leaf_term(rng, ty)))
-    ctor = Constructor("self", cparams,
-                       _assign_chain("self", assigns, IntLit(0)))
+    def sub(scope, ty):
+        return leaf_term(rng, ty)
+    methods, fields = _members(goal.class_attrs.items(), goal, sub)
     return ClassDecl(goal.name, goal.openness, goal.class_attrs,
-                     goal.instance_attrs, (), tuple(methods), tuple(fields),
-                     ctor)
+                     goal.instance_attrs, (), methods, fields,
+                     _constructor(goal, sub))
 
 
 def leaf_term(rng: random.Random, goal: AnthillType) -> AnthillTerm:
@@ -304,43 +323,27 @@ def _gen_construct(rng: random.Random, env: TypeEnv, goal: Object,
     instantiate back to the same attribute type).
     """
     class_entries: list[tuple[str, AnthillType]] = []
-    methods: list[Method] = []
-    fields_plan: list[tuple[str, AnthillType]] = []
     inst_entries: list[tuple[str, AnthillType]] = []
     for label, ty in goal.attrs.items():
         if rng.random() < 0.5:
             inst_entries.append((label, ty))
-        elif isinstance(ty, Function) and len(ty.params) >= 1:
-            class_entries.append((label, _lift(ty)))
-            methods.append((label, ty))  # realized below
+        elif _has_receiver(ty):
+            class_entries.append((label, Function((DYN, *ty.params), ty.ret)))
         else:
             class_entries.append((label, ty))
-            fields_plan.append((label, ty))
     cls_ty = Class(goal.name, goal.openness, AttrTypes(class_entries),
                    AttrTypes(inst_entries),
                    tuple(ty for _, ty in inst_entries))
-    inst = instance_type(cls_ty)
 
-    built_methods = []
-    for label, ty in methods:
-        names = [f"v{i}" for i in range(len(ty.params))]
-        mparams = tuple(zip(names, ty.params))
-        inner = {**env, "self": inst, **dict(mparams)}
-        built_methods.append(Method(label, "self", mparams, ty.ret,
-                                    gen_typed_term(rng, inner, ty.ret,
-                                                   depth - 1)))
-    built_fields = [(label, gen_typed_term(rng, env, ty, depth - 1))
-                    for label, ty in fields_plan]
-
-    cparams = tuple((f"a{i}", ty) for i, (_, ty) in enumerate(inst_entries))
-    assigns = [(label, Var(f"a{i}"))
-               for i, (label, _) in enumerate(inst_entries)]
-    ctor = Constructor("self", cparams,
-                       _assign_chain("self", assigns, IntLit(0)))
-
-    cls = ClassDecl(goal.name, goal.openness, AttrTypes(class_entries),
-                    AttrTypes(inst_entries), (), tuple(built_methods),
-                    tuple(built_fields), ctor)
+    def sub(scope, ty):
+        return gen_typed_term(rng, {**env, **scope}, ty, depth - 1)
+    # methods draw before fields, as every seed's programs were drawn
+    methods, fields = _members(
+        sorted(class_entries, key=lambda e: not _has_receiver(e[1])),
+        cls_ty, sub)
+    cls = ClassDecl(goal.name, goal.openness, cls_ty.class_attrs,
+                    cls_ty.instance_attrs, (), methods, fields,
+                    _installer("a", inst_entries))
     args = tuple(gen_typed_term(rng, env, ty, depth - 1)
                  for _, ty in inst_entries)
     return App(cls, args)
@@ -348,8 +351,6 @@ def _gen_construct(rng: random.Random, env: TypeEnv, goal: Object,
 
 def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
                     depth: int) -> AnthillTerm:
-    inst = instance_type(goal)
-
     # optionally inherit a subset of the declared class members
     supers: list[AnthillTerm] = []
     inherited: set[str] = set()
@@ -365,42 +366,22 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
         # run time unless it happens to be a class
         supers.append(gen_typed_term(rng, env, DYN, depth - 1))
 
-    methods = []
-    fields = []
-    for label, ty in goal.class_attrs.items():
-        if label in inherited:
-            continue
-        if isinstance(ty, Function) and len(ty.params) >= 1:
-            names = [f"v{i}" for i in range(len(ty.params) - 1)]
-            mparams = tuple(zip(names, ty.params[1:]))
-            inner = {**env, "self": inst, **dict(mparams)}
-            methods.append(Method(label, "self", mparams, ty.ret,
-                                  gen_typed_term(rng, inner, ty.ret,
-                                                 depth - 1)))
-        else:
-            fields.append((label, gen_typed_term(rng, env, ty, depth - 1)))
+    def sub(scope, ty):
+        return gen_typed_term(rng, {**env, **scope}, ty, depth - 1)
+    methods, fields = _members(
+        [e for e in goal.class_attrs.items() if e[0] not in inherited],
+        goal, sub)
     taken = set(goal.class_attrs.names()) | set(goal.instance_attrs.names())
     free = [l for l in LABEL_POOL if l not in taken]
     if free and rng.random() < 0.2:
         # an undeclared extra member is allowed
-        fields.append((rng.choice(free),
-                       gen_typed_term(rng, env, gen_type(rng, depth - 1),
-                                      depth - 1)))
-
-    cparams = tuple((f"a{i}", ty) for i, ty in enumerate(goal.ctor_params))
-    cenv = {**env, "self": DYN, **dict(cparams)}
-    assigns = []
-    for label, ty in goal.instance_attrs.items():
-        source = next((Var(name) for name, pty in cparams if pty == ty), None)
-        if source is None:
-            source = gen_typed_term(rng, cenv, ty, depth - 1)
-        assigns.append((label, source))
-    ctor = Constructor("self", cparams,
-                       _assign_chain("self", assigns, IntLit(0)))
+        fields += ((rng.choice(free),
+                    gen_typed_term(rng, env, gen_type(rng, depth - 1),
+                                   depth - 1)),)
 
     return ClassDecl(goal.name, goal.openness, goal.class_attrs,
-                     goal.instance_attrs, tuple(supers), tuple(methods),
-                     tuple(fields), ctor)
+                     goal.instance_attrs, tuple(supers), methods, fields,
+                     _constructor(goal, sub))
 
 
 def gen_typed_program(rng: random.Random,

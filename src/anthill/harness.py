@@ -167,15 +167,10 @@ class FuzzReport:
 
 
 def run_trials(count: int, base_seed: int = 0,
-               config: TrialConfig = TrialConfig(),
-               on_trial=None) -> FuzzReport:
-    reports = []
-    for i in range(count):
-        report = soundness_trial(trial_seed(base_seed, i), config)
-        reports.append(report)
-        if on_trial is not None:
-            on_trial(i, report)
-    return FuzzReport(base_seed, config, tuple(reports))
+               config: TrialConfig = TrialConfig()) -> FuzzReport:
+    return FuzzReport(base_seed, config, tuple(
+        soundness_trial(trial_seed(base_seed, i), config)
+        for i in range(count)))
 
 
 def shrink_violation(report: TrialReport) -> TrialReport:

@@ -132,42 +132,45 @@ class Stepped:
 # metafunctions
 
 
+def parents(h: HeapValue) -> tuple[int, ...]:
+    """The records attribute search goes on to: an object's class, or a
+    class's superclasses."""
+    return (h.cls,) if isinstance(h, ObjH) else h.supers
+
+
+def _ancestors(addr: int, heap: Heap):
+    """Each record reachable from addr once, in attribute-search order:
+    the record itself, then its parents depth-first, left to right. A
+    dangling address adds nothing."""
+    seen, todo = set(), [addr]
+    while todo:
+        a = todo.pop()
+        if a not in seen and a in heap:
+            seen.add(a)
+            h = heap[a]
+            yield h
+            todo.extend(reversed(parents(h)))
+
+
 def getattr_(addr: int, label: str, heap: Heap) -> UPyExpr | None:
-    """Attribute search: own member map first; objects delegate to their
-    class; classes search superclasses depth-first, left to right, first
-    definition winning. None when absent everywhere."""
-    h = heap[addr]
-    if label in h.members:
-        return h.members[label]
-    if isinstance(h, ObjH):
-        return getattr_(h.cls, label, heap)
-    for s in h.supers:
-        found = getattr_(s, label, heap)
-        if found is not None:
-            return found
-    return None
+    """Attribute search: the first member named label along the
+    ancestors of addr, or None when absent everywhere."""
+    return next((h.members[label] for h in _ancestors(addr, heap)
+                 if label in h.members), None)
 
 
 def value_tag(v: UPyExpr, heap: Heap) -> Tag:
     """The value's own shallow tag, the least tag it passes `check` at:
     an int or a lambda tags itself; a heap record is an object, or a
     class of its constructor's call arity, with every label attribute
-    search finds (a dangling parent adds none); anything else is only a
-    pyobj."""
+    search finds; anything else is only a pyobj."""
     if isinstance(v, UInt):
         return INT_TAG
     if isinstance(v, ULam):
         return FunTag(len(v.params))
     if not (isinstance(v, UAddr) and v.addr in heap):
         return PYOBJ
-    labels, seen, todo = set(), set(), [v.addr]
-    while todo:
-        a = todo.pop()
-        if a not in seen and a in heap:
-            seen.add(a)
-            h = heap[a]
-            labels.update(h.members)
-            todo.extend((h.cls,) if isinstance(h, ObjH) else h.supers)
+    labels = set().union(*(h.members for h in _ancestors(v.addr, heap)))
     h = heap[v.addr]
     if isinstance(h, ObjH):
         return ObjTag(labels)
@@ -263,6 +266,12 @@ def _plug(stack: list, e: UPyExpr) -> UPyExpr:
     return e
 
 
+def _is_class(v: UPyExpr, heap: Heap) -> bool:
+    """Is v the address of a class record? These are the values whose
+    `value_tag` is a class tag, told by the record kind alone."""
+    return isinstance(v, UAddr) and isinstance(heap.get(v.addr), ClassH)
+
+
 def _contract(e: UPyExpr, heap: Heap) -> Stepped | CastError | PyError:
     """Apply the base rule for redex e; the heap is updated in place
     (allocation, member update)."""
@@ -301,8 +310,8 @@ def _contract(e: UPyExpr, heap: Heap) -> Stepped | CastError | PyError:
         return PyError(e.label, 1, "ESet4")
 
     if isinstance(e, UClass):
-        if not (all(isinstance(value_tag(s, heap), ClassTag) for s in e.supers)
-                and isinstance(value_tag(e.ctor, heap), (FunTag, ClassTag))):
+        if not (all(map(_is_class, e.supers, repeat(heap)))
+                and (isinstance(e.ctor, ULam) or _is_class(e.ctor, heap))):
             return PyError(e.label, 1, "EClass3")
         a = heap.alloc(ClassH(tuple(s.addr for s in e.supers),
                               dict(e.members), e.ctor))

@@ -28,6 +28,7 @@ from .core import (
     Var,
     DYN,
     INT,
+    factory_type,
     instance_type,
     mems,
     queryable,
@@ -150,25 +151,23 @@ def translate_term(env: TypeEnv, t: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
             return (UApp(UCheck(fn, FunTag(len(args))), args, TRANSLATED),
                     DYN)
 
-        if isinstance(fn_ty, (Function, Class)):
-            param_tys = (fn_ty.params if isinstance(fn_ty, Function)
-                         else fn_ty.ctor_params)
-            if len(param_tys) != len(args):
+        if isinstance(fn_ty, Class):
+            fn_ty = factory_type(fn_ty)
+        if isinstance(fn_ty, Function):
+            if len(fn_ty.params) != len(args):
                 raise StaticTypeError(
                     "app",
-                    f"arity mismatch: callee takes {len(param_tys)} "
+                    f"arity mismatch: callee takes {len(fn_ty.params)} "
                     f"argument(s), got {len(args)}", t)
-            for (_, arg_ty), param_ty in zip(arg_pairs, param_tys):
+            for (_, arg_ty), param_ty in zip(arg_pairs, fn_ty.params):
                 if not subtype_consistent(arg_ty, param_ty):
                     raise StaticTypeError(
                         "app",
                         f"argument type {print_anthill_type(arg_ty)} does "
                         f"not flow into parameter type "
                         f"{print_anthill_type(param_ty)}", t)
-            result_ty = (fn_ty.ret if isinstance(fn_ty, Function)
-                         else instance_type(fn_ty))
-            return (UCheck(UApp(fn, args, TRANSLATED), tag_of(result_ty)),
-                    result_ty)
+            return (UCheck(UApp(fn, args, TRANSLATED), tag_of(fn_ty.ret)),
+                    fn_ty.ret)
 
         raise StaticTypeError(
             "app", f"call of non-function type {print_anthill_type(fn_ty)}", t)

@@ -11,7 +11,7 @@ with their own error.
 from __future__ import annotations
 
 from .printer import print_tag, print_upython
-from .runtime import ClassH, Heap, ObjH, check, value_tag
+from .runtime import ClassH, Heap, ObjH, check, parents, value_tag
 from .upython import (
     NATIVE,
     ClassTag,
@@ -58,10 +58,6 @@ def tag_env(bindings=()) -> TagEnv:
     return tuple(bindings)
 
 
-def env_extend(env: TagEnv, *pairs: tuple[str, Tag]) -> TagEnv:
-    return env + pairs
-
-
 def env_lookup(env: TagEnv, name: str) -> Tag | None:
     for n, t in reversed(env):
         if n == name:
@@ -103,7 +99,7 @@ def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
         return sigma[e.addr]
 
     if isinstance(e, ULam):
-        inner = env_extend(env, *((x, PYOBJ) for x in e.params))
+        inner = env + tuple((x, PYOBJ) for x in e.params)
         _infer(inner, sigma, e.body)
         return FunTag(len(e.params))
 
@@ -113,7 +109,7 @@ def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
 
     if isinstance(e, ULet):
         bound = _infer(env, sigma, e.bound)
-        return _infer(env_extend(env, (e.name, bound)), sigma, e.body)
+        return _infer(env + ((e.name, bound),), sigma, e.body)
 
     if isinstance(e, UApp):
         if e.label is NATIVE:
@@ -196,9 +192,8 @@ def heap_ok(sigma: HeapType, heap: Heap) -> bool:
         if isinstance(tag, Pyobj):
             continue
         h = heap[addr]
-        parents = (h.cls,) if isinstance(h, ObjH) else h.supers
         if not (type(h) is _RECORD.get(type(tag))
-                and all(isinstance(sigma.get(p), ClassTag) for p in parents)
+                and all(isinstance(sigma.get(p), ClassTag) for p in parents(h))
                 and check(UAddr(addr), heap, tag)
                 and all(verifies((), sigma, v, PYOBJ)
                         for v in h.members.values())):

@@ -257,6 +257,30 @@ def test_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["fuzz", "--trials", "-3"],
+    ["fuzz", "--term-depth", "-1"],
+    ["fuzz", "--ctx-depth", "-1"],
+    ["fuzz", "--budget", "-1"],
+    ["run", "programs/point.ant", "--budget", "-1"],
+    ["embed", "--typed", "programs/typed_call_lib.ant",
+     "--context", "programs/bad_call_context.upy", "--budget", "-1"],
+])
+def test_negative_counts_are_usage_errors(argv, capsys):
+    assert main(argv) == ExitStatus.USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a non-negative integer, got '-" in captured.err
+
+
+def test_zero_counts_are_accepted(capsys):
+    assert main(["fuzz", "--trials", "0"]) == ExitStatus.OK
+    assert "0 trials" in capsys.readouterr().out
+    assert main(["run", "programs/point.ant", "--budget", "0"]) \
+        == ExitStatus.TIMEOUT
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
     ["run", "{bad}"],
     ["check", "{bad}"],
     ["embed", "--typed", "programs/typed_call_lib.ant", "--context", "{bad}"],

@@ -113,12 +113,11 @@ def test_trial_line_formatting():
     assert trial.line() == "seed=42 outcome=value steps=3 verdict=pass"
 
 
-def test_on_trial_callback_sees_every_trial():
-    seen = []
-    run_trials(12, base_seed=3, config=SMALL,
-               on_trial=lambda i, t: seen.append((i, t.seed)))
-    assert [i for i, _ in seen] == list(range(12))
-    assert [s for _, s in seen] == [trial_seed(3, i) for i in range(12)]
+def test_trials_run_in_seed_order():
+    report = run_trials(12, base_seed=3, config=SMALL)
+    assert len(report.trials) == 12
+    for i, t in enumerate(report.trials):
+        assert t.seed == trial_seed(3, i)
 
 
 def test_empty_batch():

@@ -33,11 +33,13 @@ from anthill.runtime import (
 from anthill.upython import (
     NATIVE,
     TRANSLATED,
+    ClassTag,
     FunTag,
     IntTag,
     ObjTag,
     UAddr,
     UApp,
+    UClass,
     UGet,
     UInt,
     ULam,
@@ -251,6 +253,44 @@ def test_metafunctions_agree_on_random_heaps():
                     assert got == PyError(NATIVE, 1, "EGet3")
                 else:
                     assert got == CastError(1, "EGet2")
+
+
+def test_class_creation_accepts_what_the_value_tag_allows():
+    # criterion 6's heaps: a superclass must have a class tag, and a
+    # constructor a function or class tag
+    rng = random.Random(66001)
+    ok_ctor = ULam(("s",), UInt(0))
+    compared = 0
+    for i in range(300):
+        heap = build_diamond_heap()[0] if i % 10 == 0 \
+            else rand_layered_heap(rng)
+        values = [UAddr(a) for a in range(len(heap) + 2)]  # two dangling
+        values += [rand_value(rng, heap) for _ in range(4)]
+        for v in values:
+            tag = value_tag(v, heap)
+            as_super = step(UClass("C", (v,), (), ok_ctor), Heap(heap))
+            assert (isinstance(as_super, Stepped)
+                    == isinstance(tag, ClassTag)), (v, tag)
+            as_ctor = step(UClass("C", (), (), v), Heap(heap))
+            assert (isinstance(as_ctor, Stepped)
+                    == isinstance(tag, (FunTag, ClassTag))), (v, tag)
+            for r in (as_super, as_ctor):
+                assert r.rule in ("EClass", "EClass3")
+            compared += 1
+    assert compared >= 2_000
+
+
+def test_dangling_superclass_adds_no_members():
+    # the object's class is in the heap, but its superclass is not
+    heap = Heap()
+    c = heap.alloc(ClassH((9,), {"a": UInt(1)}, ULam(("s",), UInt(0))))
+    o = heap.alloc(ObjH(c, {"own": UInt(2)}))
+    assert getattr_(o, "own", heap) == UInt(2)
+    assert getattr_(o, "a", heap) == UInt(1)
+    assert getattr_(o, "zz", heap) is None
+    assert getattr_(c, "zz", heap) is None
+    assert value_tag(UAddr(o), heap) == ObjTag({"a", "own"})
+    assert value_tag(UAddr(c), heap) == ClassTag({"a"}, 0)
 
 
 def test_check_is_the_tag_order_over_the_value_tag():
