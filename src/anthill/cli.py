@@ -15,13 +15,14 @@ import enum
 import sys
 from pathlib import Path
 
-from .contexts import ContextError, plug, validate_context
+from .contexts import ContextError, hole_binders, plug, validate_context
+from .core import DYN
 from .harness import TrialConfig, run_trials, shrink_violation, \
     write_reproducer
 from .parser import ParseError, parse_anthill, parse_tag, parse_upython
 from .printer import print_anthill_type, print_upython
 from .runtime import OpenTermError, run
-from .translate import StaticTypeError, translate_program
+from .translate import StaticTypeError, translate_program, translate_term
 from .verify import verifies
 
 
@@ -138,7 +139,8 @@ def cmd_embed(args) -> int:
     term = parse_anthill(_read(args.typed))
     context = parse_upython(_read(args.context), allow_hole=True)
     validate_context(context)
-    target, _ = translate_program(term)
+    env = dict.fromkeys(hole_binders(context), DYN)
+    target, _ = translate_term(env, term)
     return _finish(run(plug(context, target), budget=args.budget,
                        on_step=_trace_printer(args)))
 

@@ -78,21 +78,33 @@ def plug(ctx: CodeContext, e: UPyExpr) -> UPyExpr:
 
 def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, int]]:
     """The (node, child index) steps from ctx down to its first hole in
-    evaluation order, found without recursion."""
-    stack = [(ctx, None)]
-    while stack:
-        e, link = stack.pop()
-        if isinstance(e, UHole):
-            path = []
-            while link is not None:
-                link, node, i = link
-                path.append((node, i))
-            path.reverse()
-            return path
-        kids = e.children()
-        for i in reversed(range(len(kids))):
-            stack.append((kids[i], (link, e, i)))
+    evaluation order, found without recursion: one [node, children,
+    next slot] frame per node on the current path, under a root frame."""
+    path = [[None, (ctx,), 0]]
+    while path:
+        frame = path[-1]
+        _, kids, i = frame
+        if i == len(kids):
+            path.pop()
+            continue
+        frame[2] = i + 1
+        if isinstance(kids[i], UHole):
+            return [(node, j - 1) for node, _, j in path[1:]]
+        path.append([kids[i], kids[i].children(), 0])
     raise TagError("context", f"no hole beneath {print_upython(ctx)}", ctx)
+
+
+def hole_binders(ctx: CodeContext) -> tuple[str, ...]:
+    """The names bound at ctx's hole, outermost first, repeats kept:
+    each lambda's parameters, and a let's name when the hole is in the
+    let's body. A plugged term may use each of them, at dyn."""
+    names = []
+    for node, i in _hole_path(ctx):
+        if isinstance(node, ULam):
+            names.extend(node.params)
+        elif isinstance(node, ULet) and i == 1:
+            names.append(node.name)
+    return tuple(names)
 
 
 def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag]:

@@ -10,7 +10,6 @@ explicit random.Random so runs are reproducible from a seed.
   closed-form leaf for every type at depth zero.
 * gen_untyped_context builds one-hole target-language contexts in
   which every elimination and creation form carries the native label.
-  It reports the lexical binders in scope at the hole.
 * gen_native_expr builds arbitrary untyped code for the context's
   side positions, including nonsense like calling an integer.
 """
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import (
@@ -501,15 +499,9 @@ def _gen_native_class(rng: random.Random, scope: tuple[str, ...], depth: int,
 # one-hole contexts
 
 
-@dataclass(frozen=True)
-class GeneratedContext:
-    expr: UPyExpr
-    binders: tuple[str, ...]  # in scope at the hole, outermost first
-
-
-def gen_untyped_context(rng: random.Random, depth: int) -> GeneratedContext:
-    expr, binders = _gen_ctx(rng, (), depth)
-    return GeneratedContext(expr, binders)
+def gen_untyped_context(rng: random.Random, depth: int) -> UPyExpr:
+    """A one-hole native context; see contexts.hole_binders."""
+    return _gen_ctx(rng, (), depth)
 
 
 CONTEXT_MENU = _table(
@@ -519,63 +511,58 @@ CONTEXT_MENU = _table(
 
 
 def _gen_ctx(rng: random.Random, scope: tuple[str, ...],
-             depth: int) -> tuple[UPyExpr, tuple[str, ...]]:
+             depth: int) -> UPyExpr:
+    # scope: the names bound here, for the native code beside the hole
     if depth <= 0 or rng.random() < 0.12:
-        return UHole(), scope
+        return UHole()
     kind = _pick(rng, CONTEXT_MENU)
     if kind == "let_bound":
         name = rng.choice(BINDER_POOL)
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
-        body = gen_native_expr(rng, scope + (name,), depth - 1)
-        return ULet(name, inner, body), binders
+        return ULet(name, _gen_ctx(rng, scope, depth - 1),
+                    gen_native_expr(rng, scope + (name,), depth - 1))
     if kind == "let_body":
         name = rng.choice(BINDER_POOL)
-        bound = gen_native_expr(rng, scope, depth - 1)
-        inner, binders = _gen_ctx(rng, scope + (name,), depth - 1)
-        return ULet(name, bound, inner), binders
+        return ULet(name, gen_native_expr(rng, scope, depth - 1),
+                    _gen_ctx(rng, scope + (name,), depth - 1))
     if kind == "lam_body":
         params = tuple(rng.sample(BINDER_POOL, rng.randint(0, 2)))
-        inner, binders = _gen_ctx(rng, scope + params, depth - 1)
-        return ULam(params, inner), binders
+        return ULam(params, _gen_ctx(rng, scope + params, depth - 1))
     if kind == "app_fn":
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
-        args = tuple(gen_native_expr(rng, scope, depth - 1)
-                     for _ in range(rng.randint(0, 2)))
-        return UApp(inner, args, NATIVE), binders
+        return UApp(_gen_ctx(rng, scope, depth - 1),
+                    tuple(gen_native_expr(rng, scope, depth - 1)
+                          for _ in range(rng.randint(0, 2))), NATIVE)
     if kind == "app_arg":
         fn = gen_native_expr(rng, scope, depth - 1)
         count = rng.randint(1, 2)
         at = rng.randrange(count)
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
+        inner = _gen_ctx(rng, scope, depth - 1)
         args = tuple(inner if i == at
                      else gen_native_expr(rng, scope, depth - 1)
                      for i in range(count))
-        return UApp(fn, args, NATIVE), binders
+        return UApp(fn, args, NATIVE)
     if kind == "get_subject":
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
-        return UGet(inner, rng.choice(LABEL_POOL), NATIVE), binders
+        return UGet(_gen_ctx(rng, scope, depth - 1), rng.choice(LABEL_POOL),
+                    NATIVE)
     if kind == "set_subject":
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
+        inner = _gen_ctx(rng, scope, depth - 1)
         value = gen_native_expr(rng, scope, depth - 1)
-        return USet(inner, rng.choice(LABEL_POOL), value, NATIVE), binders
+        return USet(inner, rng.choice(LABEL_POOL), value, NATIVE)
     if kind == "set_value":
         subject = gen_native_expr(rng, scope, depth - 1)
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
-        return USet(subject, rng.choice(LABEL_POOL), inner, NATIVE), binders
+        inner = _gen_ctx(rng, scope, depth - 1)
+        return USet(subject, rng.choice(LABEL_POOL), inner, NATIVE)
     if kind == "check":
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
-        return UCheck(inner, gen_tag(rng)), binders
+        return UCheck(_gen_ctx(rng, scope, depth - 1), gen_tag(rng))
     if kind == "class_super":
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
+        inner = _gen_ctx(rng, scope, depth - 1)
         cls = _gen_native_class(rng, scope, depth, None)
         return UClass(cls.name, (inner,) + cls.supers, cls.members,
-                      cls.ctor, NATIVE), binders
+                      cls.ctor, NATIVE)
     if kind == "class_ctor":
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
+        inner = _gen_ctx(rng, scope, depth - 1)
         cls = _gen_native_class(rng, scope, depth, None)
-        return UClass(cls.name, cls.supers, cls.members, inner,
-                      NATIVE), binders
+        return UClass(cls.name, cls.supers, cls.members, inner, NATIVE)
     if kind == "class_member":
-        inner, binders = _gen_ctx(rng, scope, depth - 1)
-        return _gen_native_class(rng, scope, depth, inner), binders
+        return _gen_native_class(rng, scope, depth,
+                                 _gen_ctx(rng, scope, depth - 1))
     raise AssertionError(kind)

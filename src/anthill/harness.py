@@ -6,10 +6,10 @@ hole, translates the term, plugs it in, and runs the whole program.
 The claim under test: no run ever produces a runtime error attributed
 to translated code. Casts may fail and native code may err freely.
 
-Each trial also asserts two internal invariants before running:
-the translated term must verify at its type's tag (checked against the
-tag verifier), and the plugged program must be closed. A failure there
-is a bug in this package, not a counterexample, and raises.
+Each trial also asserts an internal invariant before running: the
+translated term must verify at its type's tag (checked against the tag
+verifier). A failure there is a bug in this package, not a
+counterexample, and raises.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .contexts import plug, type_context, validate_context
+from .contexts import CodeContext, hole_binders, plug, type_context, \
+    validate_context
 from .core import DYN, AnthillTerm, tag_of
-from .generate import GeneratedContext, TypeEnv, gen_type, gen_typed_term, \
-    gen_untyped_context
+from .generate import TypeEnv, gen_type, gen_typed_term, gen_untyped_context
 from .printer import print_anthill_term, print_anthill_type, print_tag, \
     print_upython
 from .runtime import run
@@ -61,10 +61,10 @@ class TrialReport:
 
     @cached_property
     def _texts(self) -> tuple[str, str, str]:
-        ctx, env, term = draw_trial(self.seed, self.config)
+        ctx, _, env, term = draw_trial(self.seed, self.config)
         _, term_ty = translate_term(env, term)
         return (print_anthill_term(term), print_anthill_type(term_ty),
-                print_upython(ctx.expr))
+                print_upython(ctx))
 
     @property
     def term_text(self) -> str:
@@ -88,38 +88,36 @@ def trial_seed(base_seed: int, index: int) -> int:
     return base_seed * SEED_STRIDE + index
 
 
-def draw_trial(seed: int, config: TrialConfig
-               ) -> tuple[GeneratedContext, TypeEnv, AnthillTerm]:
-    """The trial's context, the term's environment at the hole and the
-    term, drawn from the seed: context first, then goal type, then
-    term."""
+def draw_trial(seed: int, config: TrialConfig) -> tuple[
+        CodeContext, tuple[str, ...], TypeEnv, AnthillTerm]:
+    """The trial's context, the names bound at its hole, the term's
+    environment (each of those names at dyn) and the term, drawn from
+    the seed: context first, then goal type, then term."""
     rng = random.Random(seed)
     ctx = gen_untyped_context(rng, config.ctx_depth)
-    env = {name: DYN for name in ctx.binders}
+    binders = hole_binders(ctx)
+    env = dict.fromkeys(binders, DYN)
     goal = gen_type(rng, max(1, config.term_depth // 2))
-    return ctx, env, gen_typed_term(rng, env, goal, config.term_depth)
+    term = gen_typed_term(rng, env, goal, config.term_depth)
+    return ctx, binders, env, term
 
 
 def soundness_trial(seed: int, config: TrialConfig = TrialConfig()
                     ) -> TrialReport:
-    ctx, env, term = draw_trial(seed, config)
-    validate_context(ctx.expr)
+    ctx, binders, env, term = draw_trial(seed, config)
+    validate_context(ctx)
     target, term_ty = translate_term(env, term)
 
-    hole_env = tuple((name, PYOBJ) for name in ctx.binders)
+    hole_env = tuple((name, PYOBJ) for name in binders)
     hole_tag = tag_of(term_ty)
     if not verifies(hole_env, {}, target, hole_tag):
         raise HarnessError(
             f"seed {seed}: translated term failed tag verification at "
             f"{print_tag(hole_tag)}\nterm: {print_anthill_term(term)}\n"
             f"target: {print_upython(target)}")
-    outer_env, program_tag = type_context(ctx.expr, hole_env, hole_tag)
-    if outer_env != ():
-        raise HarnessError(
-            f"seed {seed}: plugged program is open, leftover binders "
-            f"{outer_env!r}\ncontext: {print_upython(ctx.expr)}")
+    _, program_tag = type_context(ctx, hole_env, hole_tag)
 
-    outcome = run(plug(ctx.expr, target), budget=config.budget)
+    outcome = run(plug(ctx, target), budget=config.budget)
     detail = ""
     if outcome.kind == "translated-error":
         detail = "runtime error attributed to translated code"
@@ -132,7 +130,7 @@ def soundness_trial(seed: int, config: TrialConfig = TrialConfig()
             if not tag_subtype(got, program_tag):
                 detail = (f"result tag {print_tag(got)} is not below the "
                           f"program tag {print_tag(program_tag)}")
-    return TrialReport(seed, config, ctx.binders, outcome.kind, outcome.steps,
+    return TrialReport(seed, config, binders, outcome.kind, outcome.steps,
                        "violation" if detail else "pass", detail)
 
 

@@ -71,12 +71,12 @@ def print_anthill_type(ty: AnthillType) -> str:
     if isinstance(ty, Int):
         return "int"
     if isinstance(ty, Function):
-        params = ", ".join(print_anthill_type(p) for p in ty.params)
+        params = ", ".join(map(print_anthill_type, ty.params))
         return f"({params}) -> {print_anthill_type(ty.ret)}"
     if isinstance(ty, Object):
         return f"obj {ty.name} {_openness(ty.openness)} {_attr_types(ty.attrs)}"
     if isinstance(ty, Class):
-        ctor = ", ".join(print_anthill_type(p) for p in ty.ctor_params)
+        ctor = ", ".join(map(print_anthill_type, ty.ctor_params))
         return (f"class {ty.name} {_openness(ty.openness)} "
                 f"{_attr_types(ty.class_attrs)}"
                 f"{_attr_types(ty.instance_attrs)}({ctor})")
@@ -109,7 +109,7 @@ def print_anthill_term(t: AnthillTerm) -> str:
         return (f"fun({_typed_params(t.params)}) -> "
                 f"{print_anthill_type(t.ret)}: {print_anthill_term(t.body)}")
     if isinstance(t, App):
-        args = ", ".join(print_anthill_term(a) for a in t.args)
+        args = ", ".join(map(print_anthill_term, t.args))
         return f"{_anthill_subject(t.fn)}({args})"
     if isinstance(t, Get):
         return f"{_anthill_subject(t.subject)}.{t.attr}"
@@ -117,7 +117,7 @@ def print_anthill_term(t: AnthillTerm) -> str:
         return (f"{_anthill_subject(t.subject)}.{t.attr} = "
                 f"{print_anthill_term(t.value)}")
     if isinstance(t, ClassDecl):
-        supers = ", ".join(print_anthill_term(s) for s in t.supers)
+        supers = ", ".join(map(print_anthill_term, t.supers))
         members = []
         for m in t.methods:
             members.append(f"{m.name} = {_method(m)}")
@@ -191,7 +191,7 @@ def print_upython(e: UPyExpr) -> str:
     if isinstance(e, ULam):
         return f"lambda({', '.join(e.params)}): {print_upython(e.body)}"
     if isinstance(e, UApp):
-        args = ", ".join(print_upython(a) for a in e.args)
+        args = ", ".join(map(print_upython, e.args))
         return f"{_upy_subject(e.fn)}({args}){_bang(e.label)}"
     if isinstance(e, UGet):
         return f"{_upy_subject(e.subject)}.{e.attr}{_bang(e.label)}"
@@ -201,7 +201,7 @@ def print_upython(e: UPyExpr) -> str:
     if isinstance(e, UCheck):
         return f"check({print_upython(e.subject)}, {print_tag(e.tag)})"
     if isinstance(e, UClass):
-        supers = ", ".join(print_upython(s) for s in e.supers)
+        supers = ", ".join(map(print_upython, e.supers))
         members = ", ".join(f"{label} = {print_upython(v)}"
                             for label, v in e.members)
         return (f"class{_bang(e.label)} {e.name}({supers}){{{members}}} "

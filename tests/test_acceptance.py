@@ -13,8 +13,8 @@ from pathlib import Path
 
 from conftest import record_criterion
 
-from anthill.contexts import ContextError, plug, type_context, \
-    validate_context
+from anthill.contexts import ContextError, hole_binders, plug, \
+    type_context, validate_context
 from anthill.core import DYN, tag_of
 from anthill.generate import (
     gen_native_expr,
@@ -195,29 +195,29 @@ def test_criterion_4_context_composition():
             attempts += 1
             assert attempts < 3000, "generator kept producing skips"
             ctx = gen_untyped_context(rng, 4)
-            validate_context(ctx.expr)
-            hole_env = tuple((b, PYOBJ) for b in ctx.binders)
+            validate_context(ctx)
+            hole_env = tuple((b, PYOBJ) for b in hole_binders(ctx))
 
             if attempts % 2:
-                env = {b: DYN for b in ctx.binders}
+                env = {b: DYN for b in hole_binders(ctx)}
                 term = gen_typed_term(rng, env, gen_type(rng, 2), 4)
                 filler, ty = translate_term(env, term)
                 hole_tag = tag_of(ty)
                 assert verifies(hole_env, {}, filler, hole_tag)
             else:
-                filler = gen_native_expr(rng, ctx.binders, 3)
+                filler = gen_native_expr(rng, hole_binders(ctx), 3)
                 try:
                     hole_tag = infer(hole_env, {}, filler)
                 except TagError:
                     continue
 
             try:
-                outer_env, out_tag = type_context(ctx.expr, hole_env,
+                outer_env, out_tag = type_context(ctx, hole_env,
                                                   hole_tag)
             except (TagError, ContextError):
                 continue
             assert outer_env == ()
-            got = infer((), {}, plug(ctx.expr, filler))
+            got = infer((), {}, plug(ctx, filler))
             assert tag_subtype(got, out_tag)
             done += 1
 
@@ -241,10 +241,10 @@ def test_criterion_5_stepwise_reverification():
             programs.append(target)
         for _ in range(20):
             ctx = gen_untyped_context(rng, 3)
-            env = {b: DYN for b in ctx.binders}
+            env = {b: DYN for b in hole_binders(ctx)}
             term = gen_typed_term(rng, env, gen_type(rng, 2), 3)
             target, _ = translate_term(env, term)
-            programs.append(plug(ctx.expr, target))
+            programs.append(plug(ctx, target))
 
         stepped = allocated = 0
         for program in programs:
@@ -394,7 +394,7 @@ def test_criterion_8_determinism_and_round_trip():
             done += 1
         for _ in range(2_000):
             ctx = gen_untyped_context(rng, 3)
-            printed = print_upython(ctx.expr)
-            assert parse_upython(printed, allow_hole=True) == ctx.expr
+            printed = print_upython(ctx)
+            assert parse_upython(printed, allow_hole=True) == ctx
             done += 1
         assert done >= 10_000

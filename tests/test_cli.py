@@ -212,6 +212,14 @@ def test_embed_static_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_embed_translates_under_the_binders_at_the_hole(tmp_path, capsys):
+    # the typed file may use the names the context binds at its hole
+    typed = _write(tmp_path, "open.ant", "y")
+    context = _write(tmp_path, "open_ctx.upy", "(lambda(y): HOLE)(41)")
+    assert main(["embed", "--typed", typed, "--context", context]) == 0
+    assert capsys.readouterr().out == "41\n"
+
+
 # ------------------------------------------------------------------ fuzz
 
 def test_fuzz_matches_direct_harness_run(capsys):
@@ -403,6 +411,24 @@ def test_overlong_number_is_a_parse_error(tmp_path, capsys, argv, name,
     err = capsys.readouterr().err
     assert err.startswith("error: 1:")
     assert err.endswith(": number of 5000 digits is too long\n")
+
+
+def test_translate_prints_deeply_nested_calls(tmp_path, capsys):
+    calls = _write(tmp_path, "calls.ant",
+                   "(fun(x: int) -> int: x)(" * 300 + "0" + ")" * 300)
+    assert main(["translate", calls]) == 0
+    assert capsys.readouterr().out == (
+        "check((lambda(x): let x = check(x, int) in x)(" * 300 + "0"
+        + ")!, int)" * 300 + "\n")
+
+
+def test_check_prints_a_deeply_nested_function_type(tmp_path, capsys):
+    ty = "int"
+    for _ in range(400):
+        ty = f"({ty}) -> int"
+    fun = _write(tmp_path, "deep_type.ant", f"fun(f: {ty}) -> int: 0")
+    assert main(["check", fun]) == 0
+    assert capsys.readouterr().out == f"({ty}) -> int\n"
 
 
 # -------------------------------------------------------------- exit codes

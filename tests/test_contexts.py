@@ -9,6 +9,7 @@ import pytest
 from anthill.contexts import (
     ContextError,
     count_holes,
+    hole_binders,
     plug,
     type_context,
     validate_context,
@@ -21,15 +22,14 @@ from anthill.upython import (
     FunTag,
     IntTag,
     Pyobj,
-    UApp,
     UClass,
-    UGet,
     UHole,
     UInt,
     ULam,
     ULet,
     UVar,
     is_value,
+    walk,
 )
 from anthill.verify import TagError, infer, tag_subtype
 
@@ -72,37 +72,13 @@ def test_member_hole_requires_value_superclasses():
 
 
 def test_generated_contexts_validate_and_respect_the_member_rule():
-    def class_nodes(e):
-        out = []
-        stack = [e]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, UClass):
-                out.append(n)
-                stack.extend(n.supers)
-                stack.extend(m for _, m in n.members)
-                stack.append(n.ctor)
-            elif isinstance(n, ULam):
-                stack.append(n.body)
-            elif isinstance(n, ULet):
-                stack.extend((n.bound, n.body))
-            elif isinstance(n, UApp):
-                stack.append(n.fn)
-                stack.extend(n.args)
-            elif isinstance(n, (UGet,)):
-                stack.append(n.subject)
-            elif hasattr(n, "subject"):
-                stack.append(n.subject)
-                if hasattr(n, "value"):
-                    stack.append(n.value)
-        return out
-
     rng = random.Random(9)
     for _ in range(400):
         g = gen_untyped_context(rng, rng.randint(1, 6))
-        validate_context(g.expr)
-        for c in class_nodes(g.expr):
-            if any(count_holes(m) for _, m in c.members):
+        validate_context(g)
+        for c in walk(g):
+            if (isinstance(c, UClass)
+                    and any(count_holes(m) for _, m in c.members)):
                 assert all(is_value(s) for s in c.supers)
 
 
@@ -122,7 +98,7 @@ def test_plug_reaches_every_position():
     filler = UInt(77)
     for _ in range(300):
         g = gen_untyped_context(rng, rng.randint(1, 6))
-        whole = plug(g.expr, filler)
+        whole = plug(g, filler)
         assert count_holes(whole) == 0
 
 
@@ -138,7 +114,7 @@ def test_plug_rebuilds_only_the_hole_path():
     rng = random.Random(11)
     filler = UInt(77)
     for _ in range(300):
-        c = gen_untyped_context(rng, rng.randint(1, 6)).expr
+        c = gen_untyped_context(rng, rng.randint(1, 6))
         whole = plug(c, filler)
         assert whole == _plug_everywhere(c, filler)
         stack = [(c, whole)]
@@ -150,6 +126,36 @@ def test_plug_rebuilds_only_the_hole_path():
                 stack.extend(zip(old.children(), new.children()))
     with pytest.raises(TagError):
         plug(UInt(1), filler)
+
+
+# ---------------------------------------------------------------------------
+# binders at the hole
+
+
+@pytest.mark.parametrize("src, binders", [
+    ("HOLE", ()),
+    ("let y = HOLE in y", ()),  # a let's bound does not see its name
+    ("let y = 1 in HOLE", ("y",)),
+    ("lambda(x, y): lambda(): lambda(z): HOLE", ("x", "y", "z")),
+    ("lambda(x): let x = 1 in HOLE", ("x", "x")),  # shadowed, still listed
+    ("(lambda(z): z)(lambda(y): HOLE)", ("y",)),  # not the sibling's z
+    ("lambda(s): class P() {a = HOLE} init lambda(v0): 0", ("s",)),
+    ("class P() {a = 1} init HOLE", ()),
+    ("class P(HOLE) {a = lambda(x): x} init lambda(v0): 0", ()),
+    ("class P() {a = lambda(x): HOLE} init lambda(v0): 0", ("x",)),
+])
+def test_hole_binders_are_read_off_the_hole_path(src, binders):
+    assert hole_binders(ctx(src)) == binders
+
+
+def test_hole_binders_need_a_hole_and_no_recursion():
+    with pytest.raises(TagError):
+        hole_binders(UInt(1))
+    deep = UHole()
+    for i in range(5_000):
+        deep = ULet(f"x{i}", UInt(i), deep)
+    assert hole_binders(deep) == tuple(f"x{i}"
+                                       for i in reversed(range(5_000)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +231,9 @@ def test_context_typing_composes_with_plugging():
     done = 0
     for _ in range(500):
         g = gen_untyped_context(rng, rng.randint(1, 5))
-        hole_env = tuple((b, PYOBJ) for b in g.binders)
+        hole_env = tuple((b, PYOBJ) for b in hole_binders(g))
         if rng.random() < 0.5:
-            filler = gen_native_expr(rng, g.binders, rng.randint(1, 4))
+            filler = gen_native_expr(rng, hole_binders(g), rng.randint(1, 4))
         else:
             term, _ = gen_typed_program(rng, rng.randint(1, 4))
             filler, _ = translate_program(term)
@@ -235,9 +241,9 @@ def test_context_typing_composes_with_plugging():
             hole_tag = infer(hole_env, {}, filler)
         except TagError:
             continue
-        outer_env, whole_tag = type_context(g.expr, hole_env, hole_tag)
+        outer_env, whole_tag = type_context(g, hole_env, hole_tag)
         assert outer_env == ()
-        got = infer((), {}, plug(g.expr, filler))
-        assert tag_subtype(got, whole_tag), (g.expr, filler)
+        got = infer((), {}, plug(g, filler))
+        assert tag_subtype(got, whole_tag), (g, filler)
         done += 1
     assert done > 300

@@ -24,6 +24,7 @@ from anthill.upython import (
     UGet,
     USet,
     UVar,
+    walk,
 )
 from anthill.verify import infer
 
@@ -84,34 +85,21 @@ def test_generated_programs_are_closed_and_typed():
 
 
 def test_native_expressions_carry_native_labels_only():
-    def labels(e):
-        if isinstance(e, (UApp, UGet, USet, UClass)):
-            yield e.label
-        for f in ("fn", "subject", "value", "bound", "body", "ctor"):
-            sub = getattr(e, f, None)
-            if sub is not None and not isinstance(sub, str):
-                yield from labels(sub)
-        for sub in getattr(e, "args", ()):
-            yield from labels(sub)
-        for sub in getattr(e, "supers", ()):
-            yield from labels(sub)
-        for _, sub in getattr(e, "members", ()):
-            yield from labels(sub)
-
     rng = random.Random(5)
     for _ in range(500):
         e = gen_native_expr(rng, ("x",), rng.randint(1, 6))
-        assert all(l is NATIVE for l in labels(e))
+        assert all(n.label is NATIVE for n in walk(e)
+                   if isinstance(n, (UApp, UGet, USet, UClass)))
 
 
 def test_context_binder_lists_are_accurate():
     rng = random.Random(6)
-    from anthill.contexts import plug
+    from anthill.contexts import hole_binders, plug
     checked = 0
     for _ in range(500):
         g = gen_untyped_context(rng, rng.randint(1, 6))
-        for b in g.binders:
-            infer((), {}, plug(g.expr, UVar(b)))  # must not raise
+        for b in hole_binders(g):
+            infer((), {}, plug(g, UVar(b)))  # must not raise
             checked += 1
     assert checked > 200
 

@@ -76,7 +76,7 @@ def test_translated_output_round_trips():
 def test_context_round_trip_needs_hole_flag():
     rng = random.Random(35)
     for _ in range(300):
-        ctx = gen_untyped_context(rng, rng.randint(1, 5)).expr
+        ctx = gen_untyped_context(rng, rng.randint(1, 5))
         text = print_upython(ctx)
         assert parse_upython(text, allow_hole=True) == ctx
     with pytest.raises(ParseError):
@@ -294,7 +294,7 @@ def _edited_programs(draw):
         lambda: print_anthill_type(gen_type(rng, 3)),
         lambda: print_upython(
             translate_program(gen_typed_program(rng, 3)[0])[0]),
-        lambda: print_upython(gen_untyped_context(rng, 3).expr),
+        lambda: print_upython(gen_untyped_context(rng, 3)),
         lambda: print_tag(gen_tag(rng)),
     ]))
     text = make()

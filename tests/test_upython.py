@@ -29,7 +29,7 @@ from anthill.upython import (
 def _corpus(n=200):
     rng = random.Random(2)
     for _ in range(n):
-        yield gen_untyped_context(rng, rng.randint(1, 6)).expr
+        yield gen_untyped_context(rng, rng.randint(1, 6))
         term, _ = gen_typed_program(rng, rng.randint(1, 5))
         yield translate_program(term)[0]
 
