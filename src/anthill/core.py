@@ -9,9 +9,8 @@ accesses are allowed to defer to runtime checks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .upython import ClassTag, FunTag, IntTag, ObjTag, Pyobj, Tag
+from .upython import ClassTag, FunTag, IntTag, ObjTag, Pyobj, Tag, node
 
 
 class Openness(enum.Enum):
@@ -84,30 +83,30 @@ def attrs(**kw: AnthillType) -> AttrTypes:
     return AttrTypes(tuple(kw.items()))
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Dyn(AnthillType):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Int(AnthillType):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Function(AnthillType):
     params: tuple[AnthillType, ...]
     ret: AnthillType
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Object(AnthillType):
     name: str
     openness: Openness
     attrs: AttrTypes
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Class(AnthillType):
     """Class type: class-side attributes (methods as receiver-inclusive
     function types, plus class fields), instance-only attributes the
@@ -132,50 +131,50 @@ class AnthillTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Var(AnthillTerm):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IntLit(AnthillTerm):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class App(AnthillTerm):
     fn: AnthillTerm
     args: tuple[AnthillTerm, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Get(AnthillTerm):
     subject: AnthillTerm
     attr: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Set(AnthillTerm):
     subject: AnthillTerm
     attr: str
     value: AnthillTerm
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Let(AnthillTerm):
     name: str
     bound: AnthillTerm
     body: AnthillTerm
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Fun(AnthillTerm):
     params: tuple[tuple[str, AnthillType], ...]
     ret: AnthillType
     body: AnthillTerm
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Method:
     """Named method: explicit receiver binder, then annotated parameters."""
 
@@ -186,14 +185,14 @@ class Method:
     body: AnthillTerm
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Constructor:
     receiver: str
     params: tuple[tuple[str, AnthillType], ...]
     body: AnthillTerm
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ClassDecl(AnthillTerm):
     name: str
     openness: Openness

@@ -25,11 +25,19 @@ since the runtime names its binders with it. The token list ends in an
 EOF sentinel. An error position is line:col, every character, a tab
 included, counting as one column; EOF after a trailing comment sits at
 the comment's #.
+
+No token holds a # or a layout character, so the lexer works in passes
+over the whole text: it deletes the comments, splits the rest at layout
+into chunks, lexes each distinct chunk once and finds the kind of each
+distinct token text once. Program text repeats its chunks (binders,
+keywords, punctuation runs), so most chunks are looked up, not lexed.
+Only an error needs token offsets, and they are found then.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .core import (
     CLOSED,
@@ -58,6 +66,7 @@ from .upython import (
     TRANSLATED,
     ClassTag,
     FunTag,
+    Label,
     ObjTag,
     Tag,
     UAddr,
@@ -90,17 +99,23 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-# One token and the layout after it, so that a match never starts
-# inside a comment. A word may start with a non-decimal digit such as a
+# A token: a word may start with a non-decimal digit such as a
 # superscript, which the lexer rejects, and a character that starts no
-# token is a token of its own, so that findall skips nothing.
+# token is a token of its own, so that findall skips nothing. _offsets
+# matches each token with the layout after it, so that a match never
+# starts inside a comment.
+_ONE_TOKEN = r"\d+|[^\W\d]\w*|->|."
 _LAYOUT = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
 _SKIP = re.compile(_LAYOUT)
-_TOKEN = re.compile(r"(\d+|[^\W\d]\w*|->|.)" + _LAYOUT, re.DOTALL)
-_FIXED = {t: t for t in (*KEYWORDS, "->", *"(){}[],;:.=!@")}
+_TOKEN = re.compile(f"({_ONE_TOKEN}){_LAYOUT}", re.DOTALL)
+_CHUNK = re.compile(_ONE_TOKEN)
+_COMMENT = re.compile(r"#[^\n]*")
+_FIXED = frozenset((*KEYWORDS, "->", *"(){}[],;:.=!@"))
 
 
 def _kind(token: str) -> str:
+    if token in _FIXED:
+        return token
     c = token[0]
     if c.isalpha() or c == "_":
         return "IDENT"
@@ -108,10 +123,15 @@ def _kind(token: str) -> str:
 
 
 def _lex(text: str) -> tuple[list[str], list[str]]:
-    """The kind and the text of each token, both ending in EOF."""
-    texts = _TOKEN.findall(text, _SKIP.match(text).end())
-    kinds = [_FIXED.get(t) or _kind(t) for t in texts]
-    if "BAD" in kinds:
+    """The kind and the text of each token, both ending in EOF. Each
+    distinct chunk is lexed once, and each distinct token kinded once."""
+    chunks = (_COMMENT.sub("", text).replace("\t", " ").replace("\r", " ")
+              .replace("\n", " ").split(" "))
+    tokens_of = {c: _CHUNK.findall(c) for c in set(chunks)}
+    texts = list(chain.from_iterable(map(tokens_of.__getitem__, chunks)))
+    kind_of = {t: _kind(t) for t in set(texts)}
+    kinds = list(map(kind_of.__getitem__, texts))
+    if "BAD" in kind_of.values():
         i = kinds.index("BAD")
         c = texts[i][0]
         raise _error(text, _offsets(text)[i],
@@ -146,7 +166,8 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     # Grammar rules look at the current token before they consume it,
-    # so the position never moves past the EOF sentinel.
+    # so the position never moves past the EOF sentinel. A rule reads
+    # the current kind into a local once and branches on it.
     def __init__(self, text: str) -> None:
         self.source = text
         self.kinds, self.texts = _lex(text)
@@ -164,19 +185,6 @@ class _Parser:
             raise self.fail(
                 f"unexpected trailing input {self.texts[self.pos]!r}")
         return result
-
-    def next(self) -> str:
-        self.pos += 1
-        return self.texts[self.pos - 1]
-
-    def at(self, kind: str) -> bool:
-        return self.kinds[self.pos] == kind
-
-    def accept(self, kind: str) -> bool:
-        if self.kinds[self.pos] == kind:
-            self.pos += 1
-            return True
-        return False
 
     def expect(self, kind: str, what: str | None = None) -> str:
         pos = self.pos
@@ -220,12 +228,12 @@ class _Parser:
         read in the caller's frame: a callback would cost one more frame
         per level of nesting, so nested calls and function types would
         overflow the stack sooner."""
-        while not self.at(close):
+        while self.kinds[self.pos] != close:
             if lead:
                 self.expect(",")
             lead = True
             yield
-        self.next()
+        self.pos += 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +242,17 @@ class _Parser:
 
 class AnthillParser(_Parser):
     def term(self) -> AnthillTerm:
-        if self.at("let"):
+        k = self.kinds[self.pos]
+        if k == "let":
             return self.let_term()
-        if self.at("fun"):
+        if k == "fun":
             return self.fun_term()
-        if self.at("class"):
+        if k == "class":
             return self.class_term()
         return self.postfix_term()
 
     def let_term(self) -> AnthillTerm:
-        self.expect("let")
+        self.pos += 1
         name = self.binder()
         self.expect("=")
         bound = self.term()
@@ -252,7 +261,7 @@ class AnthillParser(_Parser):
         return Let(name, bound, body)
 
     def fun_term(self) -> AnthillTerm:
-        self.expect("fun")
+        self.pos += 1
         self.expect("(")
         params = []
         for _ in self.listed():
@@ -278,7 +287,7 @@ class AnthillParser(_Parser):
         return receiver, tuple(params)
 
     def class_term(self) -> AnthillTerm:
-        self.expect("class")
+        self.pos += 1
         name = self.ident("class name")
         self.expect("(")
         supers = []
@@ -294,24 +303,22 @@ class AnthillParser(_Parser):
         self.expect("{")
         methods: list[Method] = []
         fields: list[tuple[str, AnthillTerm]] = []
-        ctor = None
-        while True:
-            if self.at("init"):
-                self.expect("init")
-                self.expect("=")
-                ctor = self.ctor_term()
-                break
+        kinds = self.kinds
+        while kinds[self.pos] != "init":
             label_pos = self.pos
             label = self.ident("member label or init")
             self.expect("=")
-            if self.at("meth"):
+            if kinds[self.pos] == "meth":
                 methods.append(self.meth_term(label))
             else:
                 fields.append((label, self.term()))
             self.expect(";")
-            if self.at("}"):
+            if kinds[self.pos] == "}":
                 raise self.fail("class body must end with an init clause",
                                 label_pos)
+        self.pos += 1
+        self.expect("=")
+        ctor = self.ctor_term()
         self.expect("}")
         try:
             return ClassDecl(name, openness, class_attrs, instance_attrs,
@@ -321,7 +328,7 @@ class AnthillParser(_Parser):
             raise self.fail(str(exc)) from None
 
     def meth_term(self, label: str) -> Method:
-        self.expect("meth")
+        self.pos += 1
         receiver, params = self.receiver_params()
         self.expect("->")
         ret = self.type_()
@@ -338,39 +345,43 @@ class AnthillParser(_Parser):
 
     def postfix_term(self) -> AnthillTerm:
         e = self.atom()
+        kinds = self.kinds
         while True:
-            if self.accept("("):
+            k = kinds[self.pos]
+            if k == "(":
+                self.pos += 1
                 args = []
                 for _ in self.listed():
                     args.append(self.term())
                 e = App(e, tuple(args))
-                continue
-            if self.at("."):
-                self.next()
+            elif k == ".":
+                self.pos += 1
                 attr = self.ident("attribute label")
-                if self.accept("="):
+                if kinds[self.pos] == "=":
+                    self.pos += 1
                     return Set(e, attr, self.term())
                 e = Get(e, attr)
-                continue
-            return e
+            else:
+                return e
 
     def atom(self) -> AnthillTerm:
-        if self.at("NUM"):
+        k = self.kinds[self.pos]
+        if k == "NUM":
             return IntLit(self.number())
-        if self.at("("):
-            self.next()
+        if k == "(":
+            self.pos += 1
             inner = self.term()
             self.expect(")")
             return inner
-        if self.at("IDENT"):
+        if k == "IDENT":
             return Var(self.reference())
         raise self.fail("expected a term")
 
     def openness(self):
-        if self.accept("open"):
-            return OPEN
-        if self.accept("closed"):
-            return CLOSED
+        k = self.kinds[self.pos]
+        if k == "open" or k == "closed":
+            self.pos += 1
+            return OPEN if k == "open" else CLOSED
         raise self.fail("expected 'open' or 'closed'")
 
     def attr_types(self) -> AttrTypes:
@@ -387,21 +398,24 @@ class AnthillParser(_Parser):
         return AttrTypes(entries)
 
     def type_(self) -> AnthillType:
-        if self.accept("dyn"):
+        pos = self.pos
+        k = self.kinds[pos]
+        self.pos = pos + 1
+        if k == "dyn":
             return DYN
-        if self.accept("int"):
+        if k == "int":
             return INT
-        if self.accept("("):
+        if k == "(":
             params = []
             for _ in self.listed():
                 params.append(self.type_())
             self.expect("->")
             return Function(tuple(params), self.type_())
-        if self.accept("obj"):
+        if k == "obj":
             name = self.ident("object type name")
             openness = self.openness()
             return Object(name, openness, self.attr_types())
-        if self.accept("class"):
+        if k == "class":
             name = self.ident("class type name")
             openness = self.openness()
             class_attrs = self.attr_types()
@@ -412,7 +426,7 @@ class AnthillParser(_Parser):
                 ctor_params.append(self.type_())
             return Class(name, openness, class_attrs, instance_attrs,
                          tuple(ctor_params))
-        raise self.fail("expected a type")
+        raise self.fail("expected a type", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -426,29 +440,37 @@ class UPythonParser(_Parser):
         self.allow_hole = allow_hole
         self.allow_addresses = allow_addresses
 
+    def label(self) -> Label:
+        """The origin label: TRANSLATED when a ! follows."""
+        if self.kinds[self.pos] == "!":
+            self.pos += 1
+            return TRANSLATED
+        return NATIVE
+
     def expr(self) -> UPyExpr:
-        if self.at("let"):
-            self.next()
+        k = self.kinds[self.pos]
+        if k == "let":
+            self.pos += 1
             name = self.binder()
             self.expect("=")
             bound = self.expr()
             self.expect("in")
             return ULet(name, bound, self.expr())
-        if self.at("lambda"):
-            self.next()
+        if k == "lambda":
+            self.pos += 1
             self.expect("(")
             params = []
             for _ in self.listed():
                 params.append(self.binder())
             self.expect(":")
             return ULam(tuple(params), self.expr())
-        if self.at("class"):
+        if k == "class":
             return self.class_expr()
         return self.postfix_expr()
 
     def class_expr(self) -> UPyExpr:
-        self.expect("class")
-        label = TRANSLATED if self.accept("!") else NATIVE
+        self.pos += 1
+        label = self.label()
         name = self.ident("class name")
         self.expect("(")
         supers = []
@@ -470,76 +492,83 @@ class UPythonParser(_Parser):
 
     def postfix_expr(self) -> UPyExpr:
         e = self.atom()
+        kinds = self.kinds
         while True:
-            if self.accept("("):
+            k = kinds[self.pos]
+            if k == "(":
+                self.pos += 1
                 args = []
                 for _ in self.listed():
                     args.append(self.expr())
-                label = TRANSLATED if self.accept("!") else NATIVE
-                e = UApp(e, tuple(args), label)
-                continue
-            if self.at("."):
-                self.next()
+                e = UApp(e, tuple(args), self.label())
+            elif k == ".":
+                self.pos += 1
                 attr = self.ident("attribute label")
-                label = TRANSLATED if self.accept("!") else NATIVE
-                if self.accept("="):
+                label = self.label()
+                if kinds[self.pos] == "=":
+                    self.pos += 1
                     return USet(e, attr, self.expr(), label)
                 e = UGet(e, attr, label)
-                continue
-            return e
+            else:
+                return e
 
     def atom(self) -> UPyExpr:
-        if self.at("NUM"):
+        k = self.kinds[self.pos]
+        if k == "NUM":
             return UInt(self.number())
-        if self.at("("):
-            self.next()
+        if k == "(":
+            self.pos += 1
             inner = self.expr()
             self.expect(")")
             return inner
-        if self.at("check"):
-            self.next()
+        if k == "check":
+            self.pos += 1
             self.expect("(")
             subject = self.expr()
             self.expect(",")
             tag = self.tag()
             self.expect(")")
             return UCheck(subject, tag)
-        if self.at("@"):
+        if k == "@":
             if not self.allow_addresses:
                 raise self.fail("addresses are not allowed in source")
-            self.next()
+            self.pos += 1
             return UAddr(self.number())
-        if self.at("HOLE"):
+        if k == "HOLE":
             if not self.allow_hole:
                 raise self.fail("HOLE is only allowed in context files")
-            self.next()
+            self.pos += 1
             return UHole()
-        if self.at("IDENT"):
+        if k == "IDENT":
             return UVar(self.reference())
         raise self.fail("expected an expression")
 
     def tag(self) -> Tag:
-        if self.accept("pyobj"):
+        pos = self.pos
+        k = self.kinds[pos]
+        self.pos = pos + 1
+        if k == "pyobj":
             return PYOBJ
-        if self.accept("int"):
+        if k == "int":
             return INT_TAG
-        if self.accept("fun"):
+        if k == "fun":
             self.expect("[")
             arity = self.number()
             self.expect("]")
             return FunTag(arity)
-        if self.accept("obj"):
+        if k == "obj":
             return ObjTag(self.tag_labels())
-        if self.accept("class"):
+        if k == "class":
             labels = self.tag_labels()
             self.expect("[")
-            if self.accept("any"):
+            if self.kinds[self.pos] == "any":
+                self.pos += 1
                 arity = None
             else:
                 arity = self.number()
             self.expect("]")
             return ClassTag(labels, arity)
-        raise self.fail("expected a tag")
+        raise self.fail("expected a tag", pos)
 
     def tag_labels(self) -> tuple[str, ...]:
         self.expect("{")

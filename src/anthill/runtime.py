@@ -36,6 +36,7 @@ from .upython import (
     UVar,
     class_arity,
     is_value,
+    node,
     tag_subtype,
 )
 
@@ -84,7 +85,7 @@ class Heap(dict[int, HeapValue]):
 # raised it; a single step ends in one with steps=1.
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Value:
     value: UPyExpr
     heap: Heap
@@ -92,14 +93,14 @@ class Value:
     kind = "value"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CastError:
     steps: int
     rule: str
     kind = "casterror"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class PyError:
     label: Label
     steps: int
@@ -112,7 +113,7 @@ class PyError:
         return "native-error"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Timeout:
     steps: int
     kind = "timeout"
@@ -121,7 +122,7 @@ class Timeout:
 Outcome = Value | CastError | PyError | Timeout
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Stepped:
     """A step that did not end the run: the new term and its rule."""
     expr: UPyExpr

@@ -10,7 +10,35 @@ translation. Errors blame the label of the expression that raised them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+
+
+def node(cls):
+    """`@dataclass(frozen=True, slots=True)`, except that a generated
+    `__init__` stores each field through its slot descriptor, which
+    costs about half what the dataclass's `object.__setattr__` calls do,
+    before it calls `__post_init__`. Fields take plain defaults only. A
+    class that writes its own `__init__` keeps it."""
+    own_init = "__init__" in cls.__dict__
+    cls = dataclass(frozen=True, slots=True)(cls)
+    if own_init:
+        return cls
+    params, body, env = ["self"], [], {}
+    for f in fields(cls):
+        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        body.append(f"_set_{f.name}(self, {f.name})")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__({', '.join(params)}):\n "
+         + "\n ".join(body or ["pass"]), env)
+    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = env["__init__"]
+    return cls
 
 
 class Label(enum.Enum):
@@ -35,30 +63,30 @@ class Tag:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Pyobj(Tag):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IntTag(Tag):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FunTag(Tag):
     arity: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ObjTag(Tag):
     labels: frozenset[str]
 
     def __init__(self, labels) -> None:
-        object.__setattr__(self, "labels", frozenset(labels))
+        ObjTag.labels.__set__(self, frozenset(labels))
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ClassTag(Tag):
     """Class tag. arity None means unconstrained constructor."""
 
@@ -66,8 +94,8 @@ class ClassTag(Tag):
     arity: int | None
 
     def __init__(self, labels, arity: int | None) -> None:
-        object.__setattr__(self, "labels", frozenset(labels))
-        object.__setattr__(self, "arity", arity)
+        ClassTag.labels.__set__(self, frozenset(labels))
+        ClassTag.arity.__set__(self, arity)
 
 
 PYOBJ = Pyobj()
@@ -121,22 +149,22 @@ class UPyExpr:
         return self
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UVar(UPyExpr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UInt(UPyExpr):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UAddr(UPyExpr):
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ULam(UPyExpr):
     params: tuple[str, ...]
     body: UPyExpr
@@ -148,7 +176,7 @@ class ULam(UPyExpr):
         return ULam(self.params, kids[0])
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UApp(UPyExpr):
     fn: UPyExpr
     args: tuple[UPyExpr, ...]
@@ -161,7 +189,7 @@ class UApp(UPyExpr):
         return UApp(kids[0], tuple(kids[1:]), self.label)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UGet(UPyExpr):
     subject: UPyExpr
     attr: str
@@ -174,7 +202,7 @@ class UGet(UPyExpr):
         return UGet(kids[0], self.attr, self.label)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class USet(UPyExpr):
     subject: UPyExpr
     attr: str
@@ -188,7 +216,7 @@ class USet(UPyExpr):
         return USet(kids[0], self.attr, kids[1], self.label)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ULet(UPyExpr):
     name: str
     bound: UPyExpr
@@ -201,7 +229,7 @@ class ULet(UPyExpr):
         return ULet(self.name, kids[0], kids[1])
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UClass(UPyExpr):
     """Class literal. `members` maps labels to initializing expressions;
     duplicate labels are rejected. The name is documentation only."""
@@ -229,7 +257,7 @@ class UClass(UPyExpr):
                       kids[n], self.label)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UCheck(UPyExpr):
     subject: UPyExpr
     tag: Tag
@@ -241,7 +269,7 @@ class UCheck(UPyExpr):
         return UCheck(kids[0], self.tag)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UHole(UPyExpr):
     """Context hole. Never evaluated; plugging replaces it."""
 

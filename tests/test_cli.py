@@ -1,6 +1,7 @@
 """Every CLI command through main(argv), pinned to its exit code."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -46,8 +47,7 @@ def test_check_parse_error_is_usage(tmp_path, capsys):
 def test_translate_output_matches_library(capsys):
     assert main(["translate", "programs/typed_call_lib.ant"]) == 0
     printed = capsys.readouterr().out.strip()
-    term = parse_anthill(
-        open("programs/typed_call_lib.ant").read())
+    term = parse_anthill(Path("programs/typed_call_lib.ant").read_text())
     target, _ = translate_program(term)
     assert parse_upython(printed) == target
 

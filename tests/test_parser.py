@@ -2,6 +2,7 @@
 sublanguage, and error positions on rejected input."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,6 +328,49 @@ def test_lexer_agrees_with_reference(text):
         [(_kind(t), t.text) for t in want]
     assert [_position(text, offset) for _, _, offset in got] == \
         [(t.line, t.col) for t in want]
+
+
+def _lexed(text):
+    """Each token's kind, text and line:col, or the error's text."""
+    try:
+        return [(kind, t, _position(text, offset))
+                for kind, t, offset in tokenize(text)]
+    except ParseError as err:
+        return str(err)
+
+
+def _reference_lexed(text):
+    try:
+        return [(_kind(t), t.text, (t.line, t.col)) for t in o_tokenize(text)]
+    except OLexError as err:
+        return str(err)
+
+
+def test_lexer_agrees_with_reference_on_programs():
+    texts = [path.read_text() for path in sorted(Path("programs").iterdir())]
+    for i in range(100):
+        term, _ = gen_typed_program(random.Random(i), 7)
+        texts.append(print_anthill_term(term))
+        texts.append(print_upython(translate_program(term)[0]))
+    for text in texts:
+        assert _lexed(text) == _reference_lexed(text)
+
+
+@pytest.mark.parametrize("text", [
+    # a comment ends at the newline, or at EOF
+    "x#c\ny", "x#c",
+    # only spaces, tabs, CR and LF are layout: a form feed inside a
+    # chunk is an unexpected character
+    "a\x0cb", "a b",
+    # a number ends where a word starts; - and > apart are no arrow
+    "1x", "- >",
+    # CRLF line ends, and a tab before an error's column
+    "let x = 1\r\nin\r\n x", "let x = 1\r\n\tin \u00b2",
+    # $ glued to a word, before it and after it
+    "x$y", "f($x)",
+])
+def test_lexer_agrees_with_reference_at_chunk_edges(text):
+    assert _lexed(text) == _reference_lexed(text)
 
 
 def _outcome(parse, *args):

@@ -5,6 +5,10 @@ import dataclasses
 import random
 from collections import Counter
 
+import pytest
+
+from anthill import core, runtime, upython
+from anthill.core import OPEN, ClassDecl, Constructor, IntLit, Method, attrs
 from anthill.generate import gen_typed_program, gen_untyped_context
 from anthill.translate import translate_program
 from anthill.upython import (
@@ -111,3 +115,74 @@ def test_walk_visits_parents_first_in_evaluation_order():
     assert list(walk(e)) == [
         e, e.fn, UInt(1), UVar("x"), e.args[0], UVar("o")]
 
+
+# ---------------------------------------------------------------------------
+# the node contract: every frozen dataclass of the three modules that
+# build nodes, found by scanning them
+
+
+def _node_classes():
+    return sorted(
+        (c for m in (core, upython, runtime) for c in vars(m).values()
+         if isinstance(c, type) and c.__module__ == m.__name__
+         and dataclasses.is_dataclass(c)
+         and c.__dataclass_params__.frozen),
+        key=lambda c: c.__qualname__)
+
+
+def test_node_scan_finds_every_layer():
+    names = {c.__name__ for c in _node_classes()}
+    assert {"Function", "ClassDecl", "ObjTag", "UApp", "UClass",
+            "PyError", "Stepped"} <= names
+
+
+# __post_init__ iterates these fields, so they get empty tuples; every
+# other field gets a string naming it
+_ITERATED = ("members", "methods", "fields")
+
+
+def _arguments(cls):
+    return {f.name: () if f.name in _ITERATED else f"<{f.name}>"
+            for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("cls", _node_classes(), ids=lambda c: c.__name__)
+def test_nodes_keep_the_frozen_dataclass_contract(cls):
+    args = _arguments(cls)
+    node = cls(*args.values())
+    assert node == cls(**args)
+    assert hash(node) == hash(cls(**args))
+    assert repr(node) == repr(cls(**args))
+    assert cls.__match_args__ == tuple(args)
+    assert not hasattr(node, "__dict__")
+    for name in args:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, 1)
+    fields = dataclasses.fields(cls)
+    required = {f.name: args[f.name] for f in fields
+                if f.default is dataclasses.MISSING}
+    for f in fields:
+        if f.default is not dataclasses.MISSING:
+            assert getattr(cls(**required), f.name) is f.default
+    assert dataclasses.replace(node) == node
+    for name in args:
+        if name not in _ITERATED:
+            changed = dataclasses.replace(node, **{name: "<new>"})
+            assert changed != node
+            assert changed == cls(**{**args, name: "<new>"})
+
+
+def test_classes_reject_a_duplicate_member_label():
+    with pytest.raises(ValueError, match="duplicate member label 'a'"):
+        UClass("C", (), (("a", UInt(1)), ("a", UInt(2))), UInt(0))
+    with pytest.raises(ValueError, match="duplicate member label 'a'"):
+        UClass(name="C", supers=(), ctor=UInt(0),
+               members=(("a", UInt(1)), ("a", UInt(2))))
+    ctor = Constructor("self", (), IntLit(0))
+    with pytest.raises(ValueError, match="duplicate member label 'a'"):
+        ClassDecl("C", OPEN, attrs(), attrs(), (), (),
+                  (("a", IntLit(1)), ("a", IntLit(2))), ctor)
+    with pytest.raises(ValueError, match="duplicate member label 'a'"):
+        ClassDecl("C", OPEN, attrs(), attrs(), (),
+                  (Method("a", "self", (), core.INT, IntLit(0)),
+                   Method("a", "self", (), core.INT, IntLit(1))), (), ctor)
