@@ -25,6 +25,7 @@ from .upython import (
     USet,
     UVar,
     is_value,
+    rebuild_path,
     walk,
 )
 from .verify import TagEnv, TagError, infer, tag_env, tag_subtype
@@ -69,17 +70,13 @@ def plug(ctx: CodeContext, e: UPyExpr) -> UPyExpr:
     """Replace the hole with e, verbatim. ctx must be a valid context,
     as validate_context checks and both callers ensure; one with no hole
     raises TagError. Only the nodes on the path to the hole are rebuilt."""
-    for node, i in reversed(_hole_path(ctx)):
-        kids = list(node.children())
-        kids[i] = e
-        e = node.rebuild(tuple(kids))
-    return e
+    return rebuild_path(_hole_path(ctx), e)
 
 
-def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, int]]:
-    """The (node, child index) steps from ctx down to its first hole in
-    evaluation order, found without recursion: one [node, children,
-    next slot] frame per node on the current path, under a root frame."""
+def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, list, int]]:
+    """The interpreter's (node, kids list, slot) frames from ctx down to
+    its first hole in evaluation order, found without recursion: one
+    [node, children, next slot] frame per node on the current path."""
     path = [[None, (ctx,), 0]]
     while path:
         frame = path[-1]
@@ -89,7 +86,7 @@ def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, int]]:
             continue
         frame[2] = i + 1
         if isinstance(kids[i], UHole):
-            return [(node, j - 1) for node, _, j in path[1:]]
+            return [(node, list(kids), j - 1) for node, kids, j in path[1:]]
         path.append([kids[i], kids[i].children(), 0])
     raise TagError("context", f"no hole beneath {print_upython(ctx)}", ctx)
 
@@ -99,7 +96,7 @@ def hole_binders(ctx: CodeContext) -> tuple[str, ...]:
     each lambda's parameters, and a let's name when the hole is in the
     let's body. A plugged term may use each of them, at dyn."""
     names = []
-    for node, i in _hole_path(ctx):
+    for node, _, i in _hole_path(ctx):
         if isinstance(node, ULam):
             names.extend(node.params)
         elif isinstance(node, ULet) and i == 1:
@@ -120,7 +117,7 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
     hole = UVar("$hole")
     # fold the hole's path outwards: (env, tag) is what the child at
     # index i, the one holding the hole, was typed with and at
-    for node, i in reversed(_hole_path(ctx)):
+    for node, kids, i in reversed(_hole_path(ctx)):
         if isinstance(node, ULam):
             k = len(node.params)
             expected = tuple((x, PYOBJ) for x in node.params)
@@ -144,7 +141,6 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
                     f"let-bound expression has {print_tag(bound_tag)}, hole "
                     f"assumes {print_tag(assumed)}")
             continue  # the let has its body's tag, and its bound is typed
-        kids = list(node.children())
         kids[i] = hole
         tag = infer(env + ((hole.name, tag),), {}, node.rebuild(kids))
     return env, tag

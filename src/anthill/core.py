@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 
-from .upython import ClassTag, FunTag, IntTag, ObjTag, Pyobj, Tag, node
+from .upython import INT_TAG, PYOBJ, ClassTag, FunTag, ObjTag, Tag, node
 
 
 class Openness(enum.Enum):
@@ -334,9 +334,9 @@ def instantiate(class_attrs: AttrTypes, instance_attrs: AttrTypes) -> AttrTypes:
 def tag_of(a: AnthillType) -> Tag:
     """Forgetful map from gradual types to runtime tags."""
     if isinstance(a, Dyn):
-        return Pyobj()
+        return PYOBJ
     if isinstance(a, Int):
-        return IntTag()
+        return INT_TAG
     if isinstance(a, Function):
         return FunTag(len(a.params))
     if isinstance(a, Object):

@@ -92,9 +92,9 @@ def _anthill_subject(t: AnthillTerm) -> str:
     return s if _anthill_postfix_safe(t) else f"({s})"
 
 
-def _typed_params(params) -> str:
-    return ", ".join(f"{name}: {print_anthill_type(ty)}"
-                     for name, ty in params)
+def _typed_params(params, *receiver) -> str:
+    return ", ".join((*receiver, *(f"{name}: {print_anthill_type(ty)}"
+                                   for name, ty in params)))
 
 
 def print_anthill_term(t: AnthillTerm) -> str:
@@ -132,16 +132,13 @@ def print_anthill_term(t: AnthillTerm) -> str:
 
 
 def _method(m: Method) -> str:
-    params = _typed_params(m.params)
-    head = m.receiver if not params else f"{m.receiver}, {params}"
-    return (f"meth({head}) -> {print_anthill_type(m.ret)}: "
-            f"{print_anthill_term(m.body)}")
+    return (f"meth({_typed_params(m.params, m.receiver)}) -> "
+            f"{print_anthill_type(m.ret)}: {print_anthill_term(m.body)}")
 
 
 def _constructor(c: Constructor) -> str:
-    params = _typed_params(c.params)
-    head = c.receiver if not params else f"{c.receiver}, {params}"
-    return f"ctor({head}): {print_anthill_term(c.body)}"
+    return (f"ctor({_typed_params(c.params, c.receiver)}): "
+            f"{print_anthill_term(c.body)}")
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .upython import (
     class_arity,
     is_value,
     node,
+    rebuild_path,
     tag_subtype,
 )
 
@@ -260,13 +261,6 @@ def _focus(e: UPyExpr, stack: list) -> UPyExpr:
         e = kids[i]
 
 
-def _plug(stack: list, e: UPyExpr) -> UPyExpr:
-    for node, kids, i in reversed(stack):
-        kids[i] = e
-        e = node.rebuild(kids)
-    return e
-
-
 def _is_class(v: UPyExpr, heap: Heap) -> bool:
     """Is v the address of a class record? These are the values whose
     `value_tag` is a class tag, told by the record kind alone."""
@@ -330,7 +324,7 @@ def step(e: UPyExpr, heap: Heap) -> Stepped | CastError | PyError:
     stack = []
     r = _contract(_focus(e, stack), heap)
     if isinstance(r, Stepped):
-        return Stepped(_plug(stack, r.expr), r.rule)
+        return Stepped(rebuild_path(stack, r.expr), r.rule)
     return r
 
 

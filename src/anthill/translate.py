@@ -106,37 +106,26 @@ def translate_term(env: TypeEnv, t: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
 
     if isinstance(t, Get):
         subject, subj_ty = translate_term(env, t.subject)
-        members = _mems_or_error("get", subj_ty, t)
-        if t.attr in members:
-            attr_ty = members[t.attr]
-            return UCheck(UGet(subject, t.attr, TRANSLATED), tag_of(attr_ty)), attr_ty
-        if queryable(subj_ty) is OPEN:
+        attr_ty = _member_type("get", subj_ty, t)
+        if attr_ty is None:
             return UGet(UCheck(subject, ObjTag((t.attr,))), t.attr, TRANSLATED), DYN
-        raise StaticTypeError(
-            "get", f"no member {t.attr!r} on closed type "
-            f"{print_anthill_type(subj_ty)}", t)
+        return UCheck(UGet(subject, t.attr, TRANSLATED), tag_of(attr_ty)), attr_ty
 
     if isinstance(t, Set):
         subject, subj_ty = translate_term(env, t.subject)
-        members = _mems_or_error("set", subj_ty, t)
-        if t.attr in members:
-            attr_ty = members[t.attr]
-            value, value_ty = translate_term(env, t.value)
-            if not subtype_consistent(value_ty, attr_ty):
-                raise StaticTypeError(
-                    "set",
-                    f"value type {print_anthill_type(value_ty)} does not "
-                    f"flow into member {t.attr!r} of type "
-                    f"{print_anthill_type(attr_ty)}", t)
-            return USet(subject, t.attr, UCheck(value, tag_of(attr_ty)),
-                        TRANSLATED), INT
-        if queryable(subj_ty) is OPEN:
-            value, _ = translate_term(env, t.value)
+        attr_ty = _member_type("set", subj_ty, t)
+        value, value_ty = translate_term(env, t.value)
+        if attr_ty is None:
             return USet(UCheck(subject, ObjTag(())), t.attr, value,
                         TRANSLATED), INT
-        raise StaticTypeError(
-            "set", f"no member {t.attr!r} on closed type "
-            f"{print_anthill_type(subj_ty)}", t)
+        if not subtype_consistent(value_ty, attr_ty):
+            raise StaticTypeError(
+                "set",
+                f"value type {print_anthill_type(value_ty)} does not "
+                f"flow into member {t.attr!r} of type "
+                f"{print_anthill_type(attr_ty)}", t)
+        return USet(subject, t.attr, UCheck(value, tag_of(attr_ty)),
+                    TRANSLATED), INT
 
     if isinstance(t, Fun):
         return (_lambda(env, "fun", t.params, t.params, t.ret, t.body, t),
@@ -187,6 +176,17 @@ def _mems_or_error(rule, ty, subterm):
             subterm) from None
 
 
+def _member_type(rule, ty, t):
+    """The declared type of member t.attr on ty, or None when ty is open
+    and lacks it; a static type error when ty is closed and lacks it."""
+    members = _mems_or_error(rule, ty, t)
+    if t.attr in members or queryable(ty) is OPEN:
+        return members.get(t.attr)
+    raise StaticTypeError(
+        rule, f"no member {t.attr!r} on closed type "
+        f"{print_anthill_type(ty)}", t)
+
+
 def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
     declared = t.declared_type()
 
@@ -227,12 +227,8 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
     # or a superclass, at a type that flows into the declaration; local
     # members shadow supers, earlier supers shadow later ones
     for name, declared_ty in declared.class_attrs.items():
-        provided = local_types.get(name)
-        if provided is None:
-            for sm in super_mems:
-                if name in sm:
-                    provided = sm[name]
-                    break
+        provided = next((m[name] for m in (local_types, *super_mems)
+                         if name in m), None)
         if provided is None:
             raise StaticTypeError(
                 "class",

@@ -10,7 +10,12 @@ translation. Errors blame the label of the expression that raised them.
 from __future__ import annotations
 
 import enum
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+
+
+def _frozen(self, name, *value):
+    verb = "assign to" if value else "delete"
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
 def node(cls):
@@ -18,9 +23,11 @@ def node(cls):
     `__init__` stores each field through its slot descriptor, which
     costs about half what the dataclass's `object.__setattr__` calls do,
     before it calls `__post_init__`. Fields take plain defaults only. A
-    class that writes its own `__init__` keeps it."""
+    class that writes its own `__init__` keeps it. Setting or deleting
+    any name raises FrozenInstanceError, not only a field's."""
     own_init = "__init__" in cls.__dict__
     cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _frozen
     if own_init:
         return cls
     params, body, env = ["self"], [], {}
@@ -286,3 +293,12 @@ def walk(e: UPyExpr):
         e = stack.pop()
         yield e
         stack.extend(reversed(e.children()))
+
+
+def rebuild_path(frames, e: UPyExpr) -> UPyExpr:
+    """Put e in the innermost slot of frames, (node, kids list, slot)
+    from the root down, and rebuild outwards in place; return the root."""
+    for node, kids, i in reversed(frames):
+        kids[i] = e
+        e = node.rebuild(kids)
+    return e

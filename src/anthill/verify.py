@@ -112,26 +112,20 @@ def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
         return _infer(env + ((e.name, bound),), sigma, e.body)
 
     if isinstance(e, UApp):
-        if e.label is NATIVE:
-            _demand(env, sigma, e.fn, PYOBJ, "app")
-        else:
-            _demand(env, sigma, e.fn, FunTag(len(e.args)), "app")
+        want = PYOBJ if e.label is NATIVE else FunTag(len(e.args))
+        _demand(env, sigma, e.fn, want, "app")
         for a in e.args:
             _demand(env, sigma, a, PYOBJ, "app")
         return PYOBJ
 
     if isinstance(e, UGet):
-        if e.label is NATIVE:
-            _demand(env, sigma, e.subject, PYOBJ, "get")
-        else:
-            _demand(env, sigma, e.subject, ObjTag((e.attr,)), "get")
+        want = PYOBJ if e.label is NATIVE else ObjTag((e.attr,))
+        _demand(env, sigma, e.subject, want, "get")
         return PYOBJ
 
     if isinstance(e, USet):
-        if e.label is NATIVE:
-            _demand(env, sigma, e.subject, PYOBJ, "set")
-        else:
-            _demand(env, sigma, e.subject, ObjTag(()), "set")
+        want = PYOBJ if e.label is NATIVE else ObjTag(())
+        _demand(env, sigma, e.subject, want, "set")
         _demand(env, sigma, e.value, PYOBJ, "set")
         return INT_TAG
 

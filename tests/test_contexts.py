@@ -71,6 +71,41 @@ def test_member_hole_requires_value_superclasses():
     validate_context(ctx("class C(f(1)) {a = 2} init HOLE"))
 
 
+_MEMBER_RULE = ("a class whose member holds the hole must have value "
+                "superclasses")
+
+
+@pytest.mark.parametrize("src", [
+    # a class off the hole path
+    "class C() {a = class D(f(1)) {b = 1} init lambda(s): 0, c = HOLE} "
+    "init lambda(s): 0",
+    # the hole in an inner class's superclass, or its constructor
+    "class C() {a = class D(f(1), HOLE) {b = 1} init lambda(s): 0} "
+    "init lambda(s): 0",
+    "class C() {a = class D(f(1)) {b = 1} init HOLE} init lambda(s): 0",
+])
+def test_nested_classes_off_the_member_path_pass(src):
+    validate_context(ctx(src))
+
+
+@pytest.mark.parametrize("src, message", [
+    # the inner class's member holds the hole
+    ("class C() {a = class D(f(1)) {b = HOLE} init lambda(s): 0} "
+     "init lambda(s): 0", _MEMBER_RULE),
+    # the outer class's member holds it, through the inner class
+    ("class C(f(1)) {a = class D() {b = HOLE} init lambda(s): 0} "
+     "init lambda(s): 0", _MEMBER_RULE),
+    # the first failing node in pre-order decides
+    ("class C(f(1)) {a = HOLE.b!} init lambda(s): 0", _MEMBER_RULE),
+    ("(class C(f(1)) {a = HOLE} init lambda(s): 0)(1)!",
+     "context contains a translated-label call"),
+])
+def test_nested_class_errors_and_their_precedence(src, message):
+    with pytest.raises(ContextError) as err:
+        validate_context(ctx(src))
+    assert str(err.value) == message
+
+
 def test_generated_contexts_validate_and_respect_the_member_rule():
     rng = random.Random(9)
     for _ in range(400):
@@ -100,6 +135,13 @@ def test_plug_reaches_every_position():
         g = gen_untyped_context(rng, rng.randint(1, 6))
         whole = plug(g, filler)
         assert count_holes(whole) == 0
+
+
+def test_plugging_a_hole_gives_the_context_back():
+    for i in range(2_000):
+        c = gen_untyped_context(random.Random(i), 5)
+        assert plug(c, UHole()) == c
+        assert count_holes(plug(c, UInt(0))) == 0
 
 
 def _plug_everywhere(c, e):

@@ -155,6 +155,11 @@ def test_static_rejections(src, family):
     ("fun(o: obj P closed {a: int}) -> dyn: o.b",
      "get: no member 'b' on closed type obj P closed {a: int}"),
     ("fun(x: int) -> int: x.a", "get: type int has no attributes"),
+    # the value is translated only once the member is known, so the
+    # unbound z is never reached
+    ("fun(o: obj P closed {a: int}) -> int: o.b = z",
+     "set: no member 'b' on closed type obj P closed {a: int}"),
+    ("fun(x: int) -> int: x.a = z", "set: type int has no attributes"),
     ("fun(o: obj P open {a: int}) -> int: o.a = (fun(x: int) -> int: x)",
      "set: value type (int) -> int does not flow into member 'a' of type "
      "int"),

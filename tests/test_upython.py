@@ -10,7 +10,7 @@ import pytest
 from anthill import core, runtime, upython
 from anthill.core import OPEN, ClassDecl, Constructor, IntLit, Method, attrs
 from anthill.generate import gen_typed_program, gen_untyped_context
-from anthill.translate import translate_program
+from anthill.translate import StaticTypeError, translate_program
 from anthill.upython import (
     PYOBJ,
     TRANSLATED,
@@ -155,9 +155,11 @@ def test_nodes_keep_the_frozen_dataclass_contract(cls):
     assert repr(node) == repr(cls(**args))
     assert cls.__match_args__ == tuple(args)
     assert not hasattr(node, "__dict__")
-    for name in args:
+    for name in (*args, "other"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
     fields = dataclasses.fields(cls)
     required = {f.name: args[f.name] for f in fields
                 if f.default is dataclasses.MISSING}
@@ -170,6 +172,32 @@ def test_nodes_keep_the_frozen_dataclass_contract(cls):
             changed = dataclasses.replace(node, **{name: "<new>"})
             assert changed != node
             assert changed == cls(**{**args, name: "<new>"})
+
+
+# each site reports the first label seen a second time: b, not a
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: core.AttrTypes((("a", core.INT), ("b", core.INT),
+                             ("b", core.INT), ("a", core.INT))),
+     ValueError, "duplicate attribute label 'b'"),
+    (lambda: UClass("C", (), (("a", UInt(1)), ("b", UInt(2)),
+                              ("b", UInt(3)), ("a", UInt(4))), UInt(0)),
+     ValueError, "duplicate member label 'b'"),
+    (lambda: ClassDecl("C", OPEN, attrs(), attrs(), (),
+                       (Method("a", "self", (), core.INT, IntLit(0)),
+                        Method("b", "self", (), core.INT, IntLit(0))),
+                       (("b", IntLit(1)), ("a", IntLit(2))),
+                       Constructor("self", (), IntLit(0))),
+     ValueError, "duplicate member label 'b'"),
+    (lambda: translate_program(core.Fun(
+        (("a", core.INT), ("_", core.INT), ("b", core.INT),
+         ("_", core.DYN), ("b", core.INT), ("a", core.INT)),
+        core.INT, IntLit(0))),
+     StaticTypeError, "params: duplicate parameter 'b'"),
+])
+def test_duplicate_labels_name_the_first_repeat(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_classes_reject_a_duplicate_member_label():
