@@ -22,13 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from anthill.generate import gen_typed_program
 from anthill.runtime import run
 from anthill.translate import translate_program
-from anthill.upython import UCheck
-
-
-def erase_checks(e):
-    while isinstance(e, UCheck):
-        e = e.subject
-    return e.rebuild(tuple(map(erase_checks, e.children())))
+from anthill.upython import erase_checks
 
 
 def main() -> int:

@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from anthill.harness import TrialConfig, run_trials
 
 
-def parse_args():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=1000,
                     help="trials per grid cell")
@@ -30,11 +30,7 @@ def parse_args():
                     help="step budget per trial")
     ap.add_argument("--depths", default="2,3,4,5,6",
                     help="comma-separated depth values for both axes")
-    return ap.parse_args()
-
-
-def main() -> int:
-    args = parse_args()
+    args = ap.parse_args()
     depths = [int(d) for d in args.depths.split(",")]
     outcomes = ("value", "casterror", "native-error", "timeout")
 

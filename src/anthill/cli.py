@@ -16,13 +16,12 @@ import sys
 from pathlib import Path
 
 from .contexts import ContextError, hole_binders, plug, validate_context
-from .core import DYN
 from .harness import TrialConfig, run_trials, shrink_violation, \
-    write_reproducer
+    translate_into, write_reproducer
 from .parser import ParseError, parse_anthill, parse_tag, parse_upython
 from .printer import print_anthill_type, print_upython
 from .runtime import OpenTermError, run
-from .translate import StaticTypeError, translate_program, translate_term
+from .translate import StaticTypeError, translate_program
 from .verify import verifies
 
 
@@ -139,8 +138,7 @@ def cmd_embed(args) -> int:
     term = parse_anthill(_read(args.typed))
     context = parse_upython(_read(args.context), allow_hole=True)
     validate_context(context)
-    env = dict.fromkeys(hole_binders(context), DYN)
-    target, _ = translate_term(env, term)
+    target, _, _ = translate_into(hole_binders(context), term)
     return _finish(run(plug(context, target), budget=args.budget,
                        on_step=_trace_printer(args)))
 

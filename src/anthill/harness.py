@@ -6,10 +6,11 @@ hole, translates the term, plugs it in, and runs the whole program.
 The claim under test: no run ever produces a runtime error attributed
 to translated code. Casts may fail and native code may err freely.
 
-Each trial also asserts an internal invariant before running: the
-translated term must verify at its type's tag (checked against the tag
-verifier). A failure there is a bug in this package, not a
-counterexample, and raises.
+A trial is two stages. `translate_into` asserts an internal invariant:
+the translated term must verify at its type's tag. A failure there is
+a bug in this package, not a counterexample, and raises. `judge` runs
+the plugged program and reads the verdict off the outcome. A variant
+trial, a mutated translator or an erased term, composes them anew.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .core import DYN, AnthillTerm, tag_of
 from .generate import TypeEnv, gen_type, gen_typed_term, gen_untyped_context
 from .printer import print_anthill_term, print_anthill_type, print_tag, \
     print_upython
-from .runtime import run
+from .runtime import Outcome, run
 from .translate import translate_term
-from .upython import PYOBJ
-from .verify import TagError, infer, principal_heap_type, tag_subtype, \
-    verifies
+from .upython import PYOBJ, Tag, UPyExpr
+from .verify import TagEnv, TagError, infer, principal_heap_type, \
+    tag_subtype, verifies
 
 SEED_STRIDE = 1_000_000_007
 
@@ -61,22 +62,14 @@ class TrialReport:
 
     @cached_property
     def _texts(self) -> tuple[str, str, str]:
-        ctx, _, env, term = draw_trial(self.seed, self.config)
-        _, term_ty = translate_term(env, term)
+        ctx, binders, term = draw_trial(self.seed, self.config)
+        _, term_ty = translate_term(hole_envs(binders)[0], term)
         return (print_anthill_term(term), print_anthill_type(term_ty),
                 print_upython(ctx))
 
-    @property
-    def term_text(self) -> str:
-        return self._texts[0]
-
-    @property
-    def type_text(self) -> str:
-        return self._texts[1]
-
-    @property
-    def context_text(self) -> str:
-        return self._texts[2]
+    term_text = property(lambda self: self._texts[0])
+    type_text = property(lambda self: self._texts[1])
+    context_text = property(lambda self: self._texts[2])
 
     def line(self, index: int | None = None) -> str:
         head = f"trial {index:05d} " if index is not None else ""
@@ -88,48 +81,67 @@ def trial_seed(base_seed: int, index: int) -> int:
     return base_seed * SEED_STRIDE + index
 
 
+def hole_envs(binders: tuple[str, ...]) -> tuple[TypeEnv, TagEnv]:
+    """The hole convention: each binder at dyn to type, at pyobj to tag."""
+    return dict.fromkeys(binders, DYN), tuple((x, PYOBJ) for x in binders)
+
+
 def draw_trial(seed: int, config: TrialConfig) -> tuple[
-        CodeContext, tuple[str, ...], TypeEnv, AnthillTerm]:
-    """The trial's context, the names bound at its hole, the term's
-    environment (each of those names at dyn) and the term, drawn from
-    the seed: context first, then goal type, then term."""
+        CodeContext, tuple[str, ...], AnthillTerm]:
+    """The trial's context, the names bound at its hole and a term for
+    the hole, drawn from the seed: context, goal type, then term."""
     rng = random.Random(seed)
     ctx = gen_untyped_context(rng, config.ctx_depth)
     binders = hole_binders(ctx)
-    env = dict.fromkeys(binders, DYN)
     goal = gen_type(rng, max(1, config.term_depth // 2))
-    term = gen_typed_term(rng, env, goal, config.term_depth)
-    return ctx, binders, env, term
+    term = gen_typed_term(rng, hole_envs(binders)[0], goal, config.term_depth)
+    return ctx, binders, term
+
+
+def translate_into(binders: tuple[str, ...], term: AnthillTerm
+                   ) -> tuple[UPyExpr, TagEnv, Tag]:
+    """The target, hole environment and hole tag of term in a hole that
+    binds binders; HarnessError if the target does not verify."""
+    env, hole_env = hole_envs(binders)
+    target, term_ty = translate_term(env, term)
+    hole_tag = tag_of(term_ty)
+    if not verifies(hole_env, {}, target, hole_tag):
+        raise HarnessError(
+            "translated term failed tag verification at "
+            f"{print_tag(hole_tag)}\nterm: {print_anthill_term(term)}\n"
+            f"target: {print_upython(target)}")
+    return target, hole_env, hole_tag
+
+
+def judge(ctx: CodeContext, target: UPyExpr, hole_env: TagEnv,
+          hole_tag: Tag, budget: int) -> tuple[Outcome, str]:
+    """Run target plugged into ctx: the outcome, and the detail of a
+    violation, empty on a pass."""
+    _, program_tag = type_context(ctx, hole_env, hole_tag)
+    outcome = run(plug(ctx, target), budget=budget)
+    if outcome.kind == "translated-error":
+        return outcome, "runtime error attributed to translated code"
+    if outcome.kind != "value":
+        return outcome, ""
+    try:
+        got = infer((), principal_heap_type(outcome.heap), outcome.value)
+    except TagError as exc:
+        return outcome, f"result value has no tag: TagError {exc}"
+    if tag_subtype(got, program_tag):
+        return outcome, ""
+    return outcome, (f"result tag {print_tag(got)} is not below the "
+                     f"program tag {print_tag(program_tag)}")
 
 
 def soundness_trial(seed: int, config: TrialConfig = TrialConfig()
                     ) -> TrialReport:
-    ctx, binders, env, term = draw_trial(seed, config)
+    ctx, binders, term = draw_trial(seed, config)
     validate_context(ctx)
-    target, term_ty = translate_term(env, term)
-
-    hole_env = tuple((name, PYOBJ) for name in binders)
-    hole_tag = tag_of(term_ty)
-    if not verifies(hole_env, {}, target, hole_tag):
-        raise HarnessError(
-            f"seed {seed}: translated term failed tag verification at "
-            f"{print_tag(hole_tag)}\nterm: {print_anthill_term(term)}\n"
-            f"target: {print_upython(target)}")
-    _, program_tag = type_context(ctx, hole_env, hole_tag)
-
-    outcome = run(plug(ctx, target), budget=config.budget)
-    detail = ""
-    if outcome.kind == "translated-error":
-        detail = "runtime error attributed to translated code"
-    elif outcome.kind == "value":
-        try:
-            got = infer((), principal_heap_type(outcome.heap), outcome.value)
-        except TagError as exc:
-            detail = f"result value has no tag: TagError {exc}"
-        else:
-            if not tag_subtype(got, program_tag):
-                detail = (f"result tag {print_tag(got)} is not below the "
-                          f"program tag {print_tag(program_tag)}")
+    try:
+        target, hole_env, hole_tag = translate_into(binders, term)
+    except HarnessError as exc:
+        raise HarnessError(f"seed {seed}: {exc}") from None
+    outcome, detail = judge(ctx, target, hole_env, hole_tag, config.budget)
     return TrialReport(seed, config, binders, outcome.kind, outcome.steps,
                        "violation" if detail else "pass", detail)
 
@@ -174,22 +186,14 @@ def run_trials(count: int, base_seed: int = 0,
 def shrink_violation(report: TrialReport) -> TrialReport:
     """Smallest depth pair at which the same seed still misbehaves."""
     config = report.config
-    best = report
-    found = False
     for total in range(2, config.term_depth + config.ctx_depth):
-        for td in range(1, min(total, config.term_depth) + 1):
-            cd = total - td
-            if not 1 <= cd <= config.ctx_depth:
-                continue
-            candidate = soundness_trial(
-                report.seed, replace(config, term_depth=td, ctx_depth=cd))
+        for td in range(max(1, total - config.ctx_depth),
+                        min(total - 1, config.term_depth) + 1):
+            candidate = soundness_trial(report.seed, replace(
+                config, term_depth=td, ctx_depth=total - td))
             if candidate.verdict == "violation":
-                best = candidate
-                found = True
-                break
-        if found:
-            break
-    return best
+                return candidate
+    return report
 
 
 def write_reproducer(path: str, report: TrialReport) -> None:

@@ -386,16 +386,17 @@ class AnthillParser(_Parser):
 
     def attr_types(self) -> AttrTypes:
         self.expect("{")
-        entries = []
+        entries = {}
         for _ in self.listed("}"):
             label_pos = self.pos
             label = self.ident("attribute label")
             self.expect(":")
-            entries.append((label, self.type_()))
-            if any(l == label for l, _ in entries[:-1]):
+            ty = self.type_()
+            if label in entries:
                 raise self.fail(f"duplicate attribute label {label!r}",
                                 label_pos)
-        return AttrTypes(entries)
+            entries[label] = ty
+        return AttrTypes(entries.items())
 
     def type_(self) -> AnthillType:
         pos = self.pos
@@ -477,18 +478,18 @@ class UPythonParser(_Parser):
         for _ in self.listed():
             supers.append(self.expr())
         self.expect("{")
-        members = []
+        members = {}
         for _ in self.listed("}"):
             label_pos = self.pos
             mlabel = self.ident("member label")
-            if any(l == mlabel for l, _ in members):
+            if mlabel in members:
                 raise self.fail(f"duplicate member label {mlabel!r}",
                                 label_pos)
             self.expect("=")
-            members.append((mlabel, self.expr()))
+            members[mlabel] = self.expr()
         self.expect("init")
         ctor = self.expr()
-        return UClass(name, tuple(supers), tuple(members), ctor, label)
+        return UClass(name, tuple(supers), tuple(members.items()), ctor, label)
 
     def postfix_expr(self) -> UPyExpr:
         e = self.atom()

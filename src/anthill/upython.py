@@ -295,6 +295,13 @@ def walk(e: UPyExpr):
         stack.extend(reversed(e.children()))
 
 
+def erase_checks(e: UPyExpr) -> UPyExpr:
+    """e with every check(e', S) replaced by e'."""
+    while isinstance(e, UCheck):
+        e = e.subject
+    return e.rebuild(tuple(map(erase_checks, e.children())))
+
+
 def rebuild_path(frames, e: UPyExpr) -> UPyExpr:
     """Put e in the innermost slot of frames, (node, kids list, slot)
     from the root down, and rebuild outwards in place; return the root."""

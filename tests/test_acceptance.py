@@ -15,7 +15,7 @@ from conftest import record_criterion
 
 from anthill.contexts import ContextError, hole_binders, plug, \
     type_context, validate_context
-from anthill.core import DYN, tag_of
+from anthill.core import tag_of
 from anthill.generate import (
     gen_native_expr,
     gen_type,
@@ -23,7 +23,8 @@ from anthill.generate import (
     gen_typed_term,
     gen_untyped_context,
 )
-from anthill.harness import TrialConfig, run_trials
+from anthill.harness import TrialConfig, hole_envs, run_trials, \
+    translate_into
 from anthill.parser import parse_anthill, parse_anthill_type, parse_upython
 from anthill.printer import print_anthill_term, print_anthill_type, \
     print_upython
@@ -196,16 +197,15 @@ def test_criterion_4_context_composition():
             assert attempts < 3000, "generator kept producing skips"
             ctx = gen_untyped_context(rng, 4)
             validate_context(ctx)
-            hole_env = tuple((b, PYOBJ) for b in hole_binders(ctx))
+            binders = hole_binders(ctx)
+            env, hole_env = hole_envs(binders)
 
             if attempts % 2:
-                env = {b: DYN for b in hole_binders(ctx)}
                 term = gen_typed_term(rng, env, gen_type(rng, 2), 4)
-                filler, ty = translate_term(env, term)
-                hole_tag = tag_of(ty)
-                assert verifies(hole_env, {}, filler, hole_tag)
+                # translate_into checks the filler verifies at hole_tag
+                filler, _, hole_tag = translate_into(binders, term)
             else:
-                filler = gen_native_expr(rng, hole_binders(ctx), 3)
+                filler = gen_native_expr(rng, binders, 3)
                 try:
                     hole_tag = infer(hole_env, {}, filler)
                 except TagError:
@@ -241,9 +241,10 @@ def test_criterion_5_stepwise_reverification():
             programs.append(target)
         for _ in range(20):
             ctx = gen_untyped_context(rng, 3)
-            env = {b: DYN for b in hole_binders(ctx)}
-            term = gen_typed_term(rng, env, gen_type(rng, 2), 3)
-            target, _ = translate_term(env, term)
+            binders = hole_binders(ctx)
+            term = gen_typed_term(rng, hole_envs(binders)[0],
+                                  gen_type(rng, 2), 3)
+            target, _, _ = translate_into(binders, term)
             programs.append(plug(ctx, target))
 
         stepped = allocated = 0

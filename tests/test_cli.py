@@ -6,14 +6,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from anthill import cli
+from anthill import cli, harness
 from anthill.cli import ExitStatus, main
+from anthill.core import INT, Function
 from anthill.generate import gen_native_expr, gen_typed_program
 from anthill.harness import TrialConfig, run_trials
 from anthill.parser import parse_upython
 from anthill.printer import print_anthill_term, print_upython
 from anthill.runtime import run
 from anthill.translate import translate_program
+from anthill.upython import UInt
 from anthill.parser import parse_anthill
 
 
@@ -218,6 +220,21 @@ def test_embed_translates_under_the_binders_at_the_hole(tmp_path, capsys):
     context = _write(tmp_path, "open_ctx.upy", "(lambda(y): HOLE)(41)")
     assert main(["embed", "--typed", typed, "--context", context]) == 0
     assert capsys.readouterr().out == "41\n"
+
+
+def test_embed_checks_that_the_translation_verifies(monkeypatch, capsys):
+    # a translation that does not verify at its type's tag is a bug in
+    # the package, so embed reports an internal error and runs nothing
+    monkeypatch.setattr(harness, "translate_term",
+                        lambda env, term: (UInt(1), Function((), INT)))
+    assert main(["embed", "--typed", "programs/typed_call_lib.ant",
+                 "--context", "programs/call_context.upy"]) == \
+        ExitStatus.INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: HarnessError: translated term failed tag "
+        "verification at fun[0]\n")
 
 
 # ------------------------------------------------------------------ fuzz

@@ -1,8 +1,11 @@
-"""Fuzz harness behaviour: seed discipline, determinism, report text."""
+"""Fuzz harness behaviour: seed discipline, determinism, report text,
+and trials composed from the two stages with one of them swapped."""
 
 import hashlib
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from anthill import harness
 from anthill.cli import ExitStatus, main
@@ -11,15 +14,22 @@ from anthill.harness import (
     FuzzReport,
     TrialConfig,
     TrialReport,
+    draw_trial,
+    judge,
     run_trials,
     shrink_violation,
     soundness_trial,
+    translate_into,
     trial_seed,
     write_reproducer,
 )
+from anthill.core import INT, Function
 from anthill.parser import parse_anthill, parse_upython
+from anthill.printer import print_upython
 from anthill.runtime import Heap, PyError, Value
-from anthill.upython import TRANSLATED, UAddr
+from anthill.upython import TRANSLATED, UAddr, UApp, UCheck, UGet, UInt, \
+    erase_checks
+from anthill.verify import verifies
 
 SMALL = TrialConfig(term_depth=3, ctx_depth=3, budget=2_000)
 GOLDEN = Path(__file__).parent / "golden"
@@ -212,3 +222,80 @@ def test_reproducer_header_states_the_depths_it_ran_at(tmp_path, capsys,
     assert again.verdict == "violation"
     assert f"(: {again.type_text})\n{again.term_text}\n" in text
     assert f"# untyped context\n{again.context_text}\n" in text
+
+
+# ---------------------------------------------------------------------------
+# trials with a stage swapped
+
+
+DEFAULT = TrialConfig()
+
+
+def _drawn(count: int):
+    """The context, binders and term of base seed 0's first trials."""
+    return (draw_trial(trial_seed(0, i), DEFAULT) for i in range(count))
+
+
+def test_erasing_the_checks_keeps_values_and_native_errors():
+    # erasure as a swapped stage: a transient check returns its subject
+    # unchanged or fails, so without the term's checks a run keeps its
+    # value or native error, and a run a check stopped may go on to blame
+    # translated code, which is what the checks are there to prevent
+    translated_errors = 0
+    for ctx, binders, term in _drawn(300):
+        target, hole_env, hole_tag = translate_into(binders, term)
+        checked, detail = judge(ctx, target, hole_env, hole_tag,
+                                DEFAULT.budget)
+        erased, _ = judge(ctx, erase_checks(target), hole_env, hole_tag,
+                          DEFAULT.budget)
+        assert detail == ""
+        if checked.kind == "value":
+            assert erased.kind == "value"
+            assert print_upython(erase_checks(erased.value)) == \
+                print_upython(erase_checks(checked.value))
+        elif checked.kind == "native-error":
+            assert erased.kind == "native-error"
+        translated_errors += erased.kind == "translated-error"
+    assert translated_errors > 0
+
+
+def _without_checks_on(kind):
+    """A translate function like translate_into whose target lacks every
+    check with a `kind` node as its subject: the check the translator
+    puts on a get's or a call's result. It also drops the rarer check on
+    a dyn get or call passed on as a callee, set value or superclass."""
+    def strip(e):
+        if isinstance(e, UCheck) and isinstance(e.subject, kind):
+            e = e.subject
+        return e.rebuild(tuple(map(strip, e.children())))
+
+    def translate(binders, term):
+        target, hole_env, hole_tag = translate_into(binders, term)
+        return strip(target), hole_env, hole_tag
+    return translate
+
+
+@pytest.mark.parametrize("kind", [UGet, UApp],
+                         ids=["get-result", "call-result"])
+def test_mutant_translators_are_killed_statically_and_dynamically(kind):
+    # a mutant is one more translate function composed with judge; the
+    # verifier pre-check is counted, not enforced, so both kills show
+    translate = _without_checks_on(kind)
+    static = dynamic = 0
+    for ctx, binders, term in _drawn(100):
+        target, hole_env, hole_tag = translate(binders, term)
+        static += not verifies(hole_env, {}, target, hole_tag)
+        dynamic += judge(ctx, target, hole_env, hole_tag,
+                         DEFAULT.budget)[1] != ""
+    assert static > 0
+    assert dynamic > 0
+
+
+def test_a_translation_that_does_not_verify_names_its_trial(monkeypatch):
+    monkeypatch.setattr(harness, "translate_term",
+                        lambda env, term: (UInt(1), Function((), INT)))
+    seed = trial_seed(1, 0)
+    with pytest.raises(harness.HarnessError,
+                       match=rf"^seed {seed}: translated term failed tag "
+                             r"verification at fun\[0\]\nterm: "):
+        soundness_trial(seed, SMALL)

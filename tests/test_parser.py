@@ -2,6 +2,7 @@
 sublanguage, and error positions on rejected input."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,21 @@ def test_error_positions_point_at_the_offender():
 def test_duplicate_attribute_labels_rejected():
     with pytest.raises(ParseError):
         parse_anthill_type("obj[a: int, a: dyn]")
+
+
+@pytest.mark.parametrize("parse, text, count", [
+    (parse_anthill_type, "obj P open {%s}", lambda t: len(t.attrs)),
+    (parse_upython, "class C() {%s} init 0", lambda e: len(e.members)),
+], ids=["object-type", "class-literal"])
+def test_many_labels_parse_in_linear_time(parse, text, count):
+    # each label is checked against the labels seen so far in a set; a
+    # scan of the earlier labels took over 2 s for 8,000 of them
+    sep = ": int" if parse is parse_anthill_type else " = 0"
+    labels = ", ".join(f"l{i}{sep}" for i in range(8000))
+    start = time.perf_counter()
+    parsed = parse(text % labels)
+    assert time.perf_counter() - start < 1.0
+    assert count(parsed) == 8000
 
 
 def test_non_decimal_digit_is_an_unexpected_character():
