@@ -19,6 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from anthill.cli import _count
 from anthill.generate import gen_typed_program
 from anthill.runtime import run
 from anthill.translate import translate_program
@@ -27,10 +28,10 @@ from anthill.upython import erase_checks
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--programs", type=int, default=500)
-    ap.add_argument("--depth", type=int, default=5)
+    ap.add_argument("--programs", type=_count, default=500)
+    ap.add_argument("--depth", type=_count, default=5)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--budget", type=int, default=50_000)
+    ap.add_argument("--budget", type=_count, default=50_000)
     args = ap.parse_args()
 
     rng = random.Random(args.seed)

@@ -18,20 +18,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from anthill.cli import _count
 from anthill.harness import TrialConfig, run_trials
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=int, default=1000,
+    ap.add_argument("--trials", type=_count, default=1000,
                     help="trials per grid cell")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--budget", type=int, default=10_000,
+    ap.add_argument("--budget", type=_count, default=10_000,
                     help="step budget per trial")
     ap.add_argument("--depths", default="2,3,4,5,6",
+                    type=lambda text: [_count(d) for d in text.split(",")],
                     help="comma-separated depth values for both axes")
     args = ap.parse_args()
-    depths = [int(d) for d in args.depths.split(",")]
     outcomes = ("value", "casterror", "native-error", "timeout")
 
     print(f"{args.trials} trials per cell, budget {args.budget}, "
@@ -41,8 +42,8 @@ def main() -> int:
     print(header)
     print("-" * len(header))
 
-    for td in depths:
-        for cd in depths:
+    for td in args.depths:
+        for cd in args.depths:
             config = TrialConfig(term_depth=td, ctx_depth=cd,
                                  budget=args.budget)
             t0 = time.perf_counter()
@@ -56,8 +57,9 @@ def main() -> int:
                 return 1
             row = f"{td:>4} {cd:>4} "
             for o in outcomes:
-                pct = 100 * report.count(o) / len(report.trials)
-                row += f"{report.count(o):>7} {pct:5.1f}%"
+                n = report.count(o)
+                pct = 100 * n / len(report.trials) if n else 0.0
+                row += f"{n:>7} {pct:5.1f}%"
             print(row + f"{dt:8.1f}")
     print("no violations")
     return 0

@@ -27,11 +27,12 @@ included, counting as one column; EOF after a trailing comment sits at
 the comment's #.
 
 No token holds a # or a layout character, so the lexer works in passes
-over the whole text: it deletes the comments, splits the rest at layout
+over the whole text: it blanks the comments, splits the text at layout
 into chunks, lexes each distinct chunk once and finds the kind of each
 distinct token text once. Program text repeats its chunks (binders,
 keywords, punctuation runs), so most chunks are looked up, not lexed.
-Only an error needs token offsets, and they are found then.
+Only an error needs token offsets; they are found then, from the same
+chunks, each of which keeps its place in the text.
 """
 
 from __future__ import annotations
@@ -101,14 +102,8 @@ class ParseError(Exception):
 
 # A token: a word may start with a non-decimal digit such as a
 # superscript, which the lexer rejects, and a character that starts no
-# token is a token of its own, so that findall skips nothing. _offsets
-# matches each token with the layout after it, so that a match never
-# starts inside a comment.
-_ONE_TOKEN = r"\d+|[^\W\d]\w*|->|."
-_LAYOUT = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-_SKIP = re.compile(_LAYOUT)
-_TOKEN = re.compile(f"({_ONE_TOKEN}){_LAYOUT}", re.DOTALL)
-_CHUNK = re.compile(_ONE_TOKEN)
+# token is a token of its own, so that findall skips nothing.
+_CHUNK = re.compile(r"\d+|[^\W\d]\w*|->|.")
 _COMMENT = re.compile(r"#[^\n]*")
 _FIXED = frozenset((*KEYWORDS, "->", *"(){}[],;:.=!@"))
 
@@ -122,11 +117,18 @@ def _kind(token: str) -> str:
     return "NUM" if c.isdecimal() else "BAD"
 
 
+def _chunks(text: str) -> list[str]:
+    """The text split at layout, each comment blanked to spaces first:
+    a chunk starts one character after the end of the one before."""
+    return (_COMMENT.sub(lambda m: " " * len(m[0]), text)
+            .replace("\t", " ").replace("\r", " ").replace("\n", " ")
+            .split(" "))
+
+
 def _lex(text: str) -> tuple[list[str], list[str]]:
     """The kind and the text of each token, both ending in EOF. Each
     distinct chunk is lexed once, and each distinct token kinded once."""
-    chunks = (_COMMENT.sub("", text).replace("\t", " ").replace("\r", " ")
-              .replace("\n", " ").split(" "))
+    chunks = _chunks(text)
     tokens_of = {c: _CHUNK.findall(c) for c in set(chunks)}
     texts = list(chain.from_iterable(map(tokens_of.__getitem__, chunks)))
     kind_of = {t: _kind(t) for t in set(texts)}
@@ -145,11 +147,16 @@ def _lex(text: str) -> tuple[list[str], list[str]]:
 def _offsets(text: str) -> list[int]:
     """The offset of each token, EOF included; only errors need them."""
     offsets = []
-    end = 0
-    for m in _TOKEN.finditer(text, _SKIP.match(text).end()):
-        offsets.append(m.start())
-        end = m.end(1)
-    comment = text.find("#", max(end, text.rfind("\n") + 1))
+    at = 0
+    for chunk in _chunks(text):
+        for token in _CHUNK.findall(chunk):
+            offsets.append(at)
+            at += len(token)
+        at += 1
+    # no token holds a #, so the first one from the last token's start
+    # on the last line opens the trailing comment
+    last = offsets[-1] if offsets else 0
+    comment = text.find("#", max(last, text.rfind("\n") + 1))
     offsets.append(comment if comment >= 0 else len(text))
     return offsets
 
@@ -235,12 +242,42 @@ class _Parser:
             yield
         self.pos += 1
 
+    def postfix(self):
+        """Calls, member reads and a member write after an atom, built
+        with the grammar's App, Get and Set and its label() reader."""
+        e = self.atom()
+        kinds = self.kinds
+        while True:
+            k = kinds[self.pos]
+            if k == "(":
+                self.pos += 1
+                args = []
+                for _ in self.listed():
+                    args.append(self.term())
+                e = self.App(e, tuple(args), *self.label())
+            elif k == ".":
+                self.pos += 1
+                attr = self.ident("attribute label")
+                label = self.label()
+                if kinds[self.pos] == "=":
+                    self.pos += 1
+                    return self.Set(e, attr, self.term(), *label)
+                e = self.Get(e, attr, *label)
+            else:
+                return e
+
 
 # ---------------------------------------------------------------------------
 # source language
 
 
 class AnthillParser(_Parser):
+    App, Get, Set = App, Get, Set
+
+    def label(self) -> tuple:
+        """A node's label fields: none, as source forms carry no label."""
+        return ()
+
     def term(self) -> AnthillTerm:
         k = self.kinds[self.pos]
         if k == "let":
@@ -249,7 +286,7 @@ class AnthillParser(_Parser):
             return self.fun_term()
         if k == "class":
             return self.class_term()
-        return self.postfix_term()
+        return self.postfix()
 
     def let_term(self) -> AnthillTerm:
         self.pos += 1
@@ -343,27 +380,6 @@ class AnthillParser(_Parser):
         body = self.term()
         return Constructor(receiver, params, body)
 
-    def postfix_term(self) -> AnthillTerm:
-        e = self.atom()
-        kinds = self.kinds
-        while True:
-            k = kinds[self.pos]
-            if k == "(":
-                self.pos += 1
-                args = []
-                for _ in self.listed():
-                    args.append(self.term())
-                e = App(e, tuple(args))
-            elif k == ".":
-                self.pos += 1
-                attr = self.ident("attribute label")
-                if kinds[self.pos] == "=":
-                    self.pos += 1
-                    return Set(e, attr, self.term())
-                e = Get(e, attr)
-            else:
-                return e
-
     def atom(self) -> AnthillTerm:
         k = self.kinds[self.pos]
         if k == "NUM":
@@ -435,28 +451,31 @@ class AnthillParser(_Parser):
 
 
 class UPythonParser(_Parser):
+    App, Get, Set = UApp, UGet, USet
+
     def __init__(self, text: str, allow_hole: bool = False,
                  allow_addresses: bool = False) -> None:
         super().__init__(text)
         self.allow_hole = allow_hole
         self.allow_addresses = allow_addresses
 
-    def label(self) -> Label:
-        """The origin label: TRANSLATED when a ! follows."""
+    def label(self) -> tuple[Label]:
+        """A node's label fields: its origin label, TRANSLATED when a !
+        follows."""
         if self.kinds[self.pos] == "!":
             self.pos += 1
-            return TRANSLATED
-        return NATIVE
+            return (TRANSLATED,)
+        return (NATIVE,)
 
-    def expr(self) -> UPyExpr:
+    def term(self) -> UPyExpr:
         k = self.kinds[self.pos]
         if k == "let":
             self.pos += 1
             name = self.binder()
             self.expect("=")
-            bound = self.expr()
+            bound = self.term()
             self.expect("in")
-            return ULet(name, bound, self.expr())
+            return ULet(name, bound, self.term())
         if k == "lambda":
             self.pos += 1
             self.expect("(")
@@ -464,10 +483,10 @@ class UPythonParser(_Parser):
             for _ in self.listed():
                 params.append(self.binder())
             self.expect(":")
-            return ULam(tuple(params), self.expr())
+            return ULam(tuple(params), self.term())
         if k == "class":
             return self.class_expr()
-        return self.postfix_expr()
+        return self.postfix()
 
     def class_expr(self) -> UPyExpr:
         self.pos += 1
@@ -476,7 +495,7 @@ class UPythonParser(_Parser):
         self.expect("(")
         supers = []
         for _ in self.listed():
-            supers.append(self.expr())
+            supers.append(self.term())
         self.expect("{")
         members = {}
         for _ in self.listed("}"):
@@ -486,32 +505,11 @@ class UPythonParser(_Parser):
                 raise self.fail(f"duplicate member label {mlabel!r}",
                                 label_pos)
             self.expect("=")
-            members[mlabel] = self.expr()
+            members[mlabel] = self.term()
         self.expect("init")
-        ctor = self.expr()
-        return UClass(name, tuple(supers), tuple(members.items()), ctor, label)
-
-    def postfix_expr(self) -> UPyExpr:
-        e = self.atom()
-        kinds = self.kinds
-        while True:
-            k = kinds[self.pos]
-            if k == "(":
-                self.pos += 1
-                args = []
-                for _ in self.listed():
-                    args.append(self.expr())
-                e = UApp(e, tuple(args), self.label())
-            elif k == ".":
-                self.pos += 1
-                attr = self.ident("attribute label")
-                label = self.label()
-                if kinds[self.pos] == "=":
-                    self.pos += 1
-                    return USet(e, attr, self.expr(), label)
-                e = UGet(e, attr, label)
-            else:
-                return e
+        ctor = self.term()
+        return UClass(name, tuple(supers), tuple(members.items()), ctor,
+                      *label)
 
     def atom(self) -> UPyExpr:
         k = self.kinds[self.pos]
@@ -519,13 +517,13 @@ class UPythonParser(_Parser):
             return UInt(self.number())
         if k == "(":
             self.pos += 1
-            inner = self.expr()
+            inner = self.term()
             self.expect(")")
             return inner
         if k == "check":
             self.pos += 1
             self.expect("(")
-            subject = self.expr()
+            subject = self.term()
             self.expect(",")
             tag = self.tag()
             self.expect(")")
@@ -596,7 +594,7 @@ def parse_anthill_type(text: str) -> AnthillType:
 def parse_upython(text: str, allow_hole: bool = False,
                   allow_addresses: bool = False) -> UPyExpr:
     p = UPythonParser(text, allow_hole, allow_addresses)
-    return p.parse(p.expr)
+    return p.parse(p.term)
 
 
 def parse_tag(text: str) -> Tag:

@@ -83,13 +83,9 @@ def print_anthill_type(ty: AnthillType) -> str:
     raise TypeError(f"not a type: {ty!r}")
 
 
-def _anthill_postfix_safe(t: AnthillTerm) -> bool:
-    return isinstance(t, (Var, IntLit, App, Get))
-
-
 def _anthill_subject(t: AnthillTerm) -> str:
     s = print_anthill_term(t)
-    return s if _anthill_postfix_safe(t) else f"({s})"
+    return s if isinstance(t, (Var, IntLit, App, Get)) else f"({s})"
 
 
 def _typed_params(params, *receiver) -> str:
@@ -160,13 +156,10 @@ def print_tag(s: Tag) -> str:
     raise TypeError(f"not a tag: {s!r}")
 
 
-def _upy_postfix_safe(e: UPyExpr) -> bool:
-    return isinstance(e, (UVar, UInt, UApp, UGet, UAddr, UCheck, UHole))
-
-
 def _upy_subject(e: UPyExpr) -> str:
     s = print_upython(e)
-    return s if _upy_postfix_safe(e) else f"({s})"
+    postfix_safe = (UVar, UInt, UApp, UGet, UAddr, UCheck, UHole)
+    return s if isinstance(e, postfix_safe) else f"({s})"
 
 
 def _bang(label: Label) -> str:

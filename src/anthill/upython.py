@@ -296,10 +296,13 @@ def walk(e: UPyExpr):
 
 
 def erase_checks(e: UPyExpr) -> UPyExpr:
-    """e with every check(e', S) replaced by e'."""
-    while isinstance(e, UCheck):
-        e = e.subject
-    return e.rebuild(tuple(map(erase_checks, e.children())))
+    """e with every check(e', S) replaced by e'. Built bottom-up, each
+    node after its children, so any depth of nesting is fine."""
+    erased = {}
+    for n in reversed(list(walk(e))):
+        erased[id(n)] = (erased[id(n.subject)] if isinstance(n, UCheck)
+                         else n.rebuild([erased[id(k)] for k in n.children()]))
+    return erased[id(e)]
 
 
 def rebuild_path(frames, e: UPyExpr) -> UPyExpr:

@@ -11,7 +11,7 @@ with their own error.
 from __future__ import annotations
 
 from .printer import print_tag, print_upython
-from .runtime import ClassH, Heap, ObjH, check, parents, value_tag
+from .runtime import Heap, parents, value_tag
 from .upython import (
     NATIVE,
     ClassTag,
@@ -170,25 +170,22 @@ def verifies(env, sigma: HeapType, e: UPyExpr, want: Tag) -> bool:
 # heap typing
 
 
-# the heap record each tag describes; no other tag describes one
-_RECORD = {ClassTag: ClassH, ObjTag: ObjH}
-
-
 def heap_ok(sigma: HeapType, heap: Heap) -> bool:
     """Does the heap satisfy the heap type? Domains must agree exactly.
     A class or object tag needs a record of its kind whose parents (a
-    class's superclasses, an object's class) are class-tagged, that
-    passes the runtime check at the tag, and whose member values are
-    typeable. A pyobj entry constrains nothing."""
+    class's superclasses, an object's class) are class-tagged, whose own
+    tag lies below the tag, and whose member values are typeable. A
+    pyobj entry constrains nothing."""
     if sigma.keys() != heap.keys():
         return False
     for addr, tag in sigma.items():
         if isinstance(tag, Pyobj):
             continue
         h = heap[addr]
-        if not (type(h) is _RECORD.get(type(tag))
+        own = value_tag(UAddr(addr), heap)
+        if not (type(own) is type(tag)
                 and all(isinstance(sigma.get(p), ClassTag) for p in parents(h))
-                and check(UAddr(addr), heap, tag)
+                and tag_subtype(own, tag)
                 and all(verifies((), sigma, v, PYOBJ)
                         for v in h.members.values())):
             return False

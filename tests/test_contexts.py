@@ -15,6 +15,7 @@ from anthill.contexts import (
     validate_context,
 )
 from anthill.generate import gen_native_expr, gen_typed_program, gen_untyped_context
+from anthill.harness import hole_envs
 from anthill.parser import parse_upython
 from anthill.translate import translate_program
 from anthill.upython import (
@@ -273,7 +274,7 @@ def test_context_typing_composes_with_plugging():
     done = 0
     for _ in range(500):
         g = gen_untyped_context(rng, rng.randint(1, 5))
-        hole_env = tuple((b, PYOBJ) for b in hole_binders(g))
+        _, hole_env = hole_envs(hole_binders(g))
         if rng.random() < 0.5:
             filler = gen_native_expr(rng, hole_binders(g), rng.randint(1, 4))
         else:

@@ -1,7 +1,8 @@
 """Stack use of the structural traversals: a 600-deep chain of a
 single-child form fits under the default recursion limit only while
 each traversal takes at most one Python frame per level of nesting.
-The interpreter takes none: a redex under 5,000 frames steps and runs."""
+Check erasure and the interpreter take none: a check chain 5,000 deep
+erases, and a redex under 5,000 frames steps and runs."""
 
 import dataclasses
 
@@ -11,7 +12,7 @@ from anthill.contexts import plug, validate_context
 from anthill.runtime import ClassH, Heap, ObjH, Stepped, Value, run, step, \
     substitute
 from anthill.upython import PYOBJ, UAddr, UApp, UCheck, UClass, UGet, UHole, \
-    UInt, ULam, ULet, UPyExpr, USet, UVar
+    UInt, ULam, ULet, UPyExpr, USet, UVar, erase_checks
 
 DEPTH = 600
 
@@ -54,7 +55,23 @@ def test_deep_chains_substitute_plug_and_validate(form):
     assert _shape(plug(ctx, filler)) == expected
 
 
+@pytest.mark.parametrize("form", sorted(SINGLE_CHILD_FORMS))
+def test_deep_chains_erase_checks(form):
+    wrap = SINGLE_CHILD_FORMS[form]
+    checked = _chain(lambda e: wrap(UCheck(e, PYOBJ)), UInt(5))
+    bare = UInt(5) if form == "check" else _chain(wrap, UInt(5))
+    assert _shape(erase_checks(checked)) == _shape(bare)
+
+
 REDEX_DEPTH = 5000
+
+
+def test_check_chain_under_5000_lambdas_erases():
+    # each level a lambda whose body is a check: 10,000 nodes deep
+    checked = _chain(lambda e: ULam(("x",), UCheck(e, PYOBJ)), UVar("x"),
+                     REDEX_DEPTH)
+    bare = _chain(lambda e: ULam(("x",), e), UVar("x"), REDEX_DEPTH)
+    assert _shape(erase_checks(checked)) == _shape(bare)
 ID = ULam(("x",), UVar("x"))
 CTOR = ULam(("self",), UInt(0))
 OBJ = UAddr(1)   # an object of the class at address 0, see _heap

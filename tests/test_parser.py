@@ -286,8 +286,8 @@ class _ReferenceUPython(_ReferenceTokens, UPythonParser):
 _ENTRY_POINTS = [
     (parse_anthill, _ReferenceAnthill, "term", ()),
     (parse_anthill_type, _ReferenceAnthill, "type_", ()),
-    (parse_upython, _ReferenceUPython, "expr", ()),
-    (lambda t: parse_upython(t, True, True), _ReferenceUPython, "expr",
+    (parse_upython, _ReferenceUPython, "term", ()),
+    (lambda t: parse_upython(t, True, True), _ReferenceUPython, "term",
      (True, True)),
     (parse_tag, _ReferenceUPython, "tag", ()),
 ]
