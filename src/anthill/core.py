@@ -36,14 +36,14 @@ class AttrTypes:
     __slots__ = ("entries", "_map")
 
     def __init__(self, entries=()) -> None:
-        entries = tuple((str(l), t) for l, t in entries)
-        mapping = {}
-        for lbl, ty in entries:
-            if lbl in mapping:
-                raise ValueError(f"duplicate attribute label {lbl!r}")
-            mapping[lbl] = ty
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_map", mapping)
+        entries = tuple([(str(l), t) for l, t in entries])
+        mapping = dict(entries)
+        if len(mapping) < len(entries):
+            seen = set()
+            lbl = next(l for l, _ in entries if l in seen or seen.add(l))
+            raise ValueError(f"duplicate attribute label {lbl!r}")
+        _set_entries(self, entries)
+        _set_map(self, mapping)
 
     def __setattr__(self, name, value):
         raise AttributeError("AttrTypes is immutable")
@@ -77,6 +77,10 @@ class AttrTypes:
     def __repr__(self) -> str:
         inner = ", ".join(f"{l}: {t!r}" for l, t in self.entries)
         return "{" + inner + "}"
+
+
+# the slots' own setters, which skip the refusing __setattr__
+_set_entries, _set_map = AttrTypes.entries.__set__, AttrTypes._map.__set__
 
 
 def attrs(**kw: AnthillType) -> AttrTypes:
@@ -256,7 +260,7 @@ def subtype_consistent(a: AnthillType, b: AnthillType) -> bool:
     """Subtyping up to the dynamic type. Width subtyping on attribute
     maps, contravariant parameters, and class-to-object /
     class-to-function coercions. Names and openness are ignored."""
-    if isinstance(a, Dyn) or isinstance(b, Dyn):
+    if a is b or isinstance(a, Dyn) or isinstance(b, Dyn):
         return True
     if isinstance(a, Int) and isinstance(b, Int):
         return True

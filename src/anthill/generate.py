@@ -1,7 +1,11 @@
 """Random program generators.
 
 Three generators share one RNG discipline: every function takes an
-explicit random.Random so runs are reproducible from a seed.
+explicit random.Random so runs are reproducible from a seed. Draws use
+only its random() and getrandbits(): randint, choice, sample and
+randrange are CPython's code replayed from getrandbits, so a seed's
+programs are random.Random's, stay so whatever the interpreter's
+version of those methods, and cost two Python calls a draw, not three.
 
 * gen_typed_term builds source terms that inhabit a requested type
   exactly, so the translator accepts everything it produces. Exactness
@@ -86,12 +90,42 @@ def _pick(rng: random.Random, table) -> str:
     return kinds[bisect_right(cum, rng.random() * cum[-1], 0, len(kinds) - 1)]
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A draw from range(n), n > 0, exactly as random.Random._randbelow
+    makes it: getrandbits of n's bit length until one falls below n."""
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """random.Random.randint(a, b), replayed."""
+    return a + _below(rng, b - a + 1)
+
+
+def _choice(rng: random.Random, seq):
+    """random.Random.choice(seq), replayed."""
+    return seq[_below(rng, len(seq))]
+
+
+def _sample(rng: random.Random, population, k: int) -> list:
+    """random.Random.sample(population, k), replayed for a population of
+    at most 21, where CPython always takes its pool branch."""
+    pool, result = list(population), []
+    for _ in range(k):
+        # CPython moves the last unpicked entry into the vacancy
+        j = _below(rng, len(pool))
+        pool[j], pool[-1] = pool[-1], pool[j]
+        result.append(pool.pop())
+    return result
+
+
 def _openness(rng: random.Random):
     return OPEN if rng.random() < 0.5 else CLOSED
-
-
-def _labels(rng: random.Random, count: int) -> list[str]:
-    return rng.sample(LABEL_POOL, count)
 
 
 TYPE_MENU = _table(("dyn", 2), ("int", 3), ("fun", 2), ("obj", 2),
@@ -108,23 +142,23 @@ def gen_type(rng: random.Random, depth: int) -> AnthillType:
         return INT
     if kind == "fun":
         params = tuple(gen_type(rng, depth - 1)
-                       for _ in range(rng.randint(0, MAX_ARGS)))
+                       for _ in range(_randint(rng, 0, MAX_ARGS)))
         return Function(params, gen_type(rng, depth - 1))
     if kind == "obj":
-        labels = _labels(rng, rng.randint(0, MAX_ATTRS))
+        labels = _sample(rng, LABEL_POOL, _randint(rng, 0, MAX_ATTRS))
         entries = [(l, gen_type(rng, depth - 1)) for l in labels]
-        return Object(rng.choice(TYPE_NAME_POOL), _openness(rng),
+        return Object(_choice(rng, TYPE_NAME_POOL), _openness(rng),
                       AttrTypes(entries))
     # class: keep declared class members and instance members disjoint so
     # constructed objects carry the values their declared types promise
-    total = _labels(rng, rng.randint(0, min(len(LABEL_POOL),
-                                            2 * MAX_ATTRS)))
-    split = rng.randint(0, len(total))
+    total = _sample(rng, LABEL_POOL,
+                    _randint(rng, 0, min(len(LABEL_POOL), 2 * MAX_ATTRS)))
+    split = _randint(rng, 0, len(total))
     class_entries = [(l, gen_type(rng, depth - 1)) for l in total[:split]]
     inst_entries = [(l, gen_type(rng, depth - 1)) for l in total[split:]]
     ctor_params = tuple(gen_type(rng, depth - 1)
-                        for _ in range(rng.randint(0, MAX_ARGS)))
-    return Class(rng.choice(TYPE_NAME_POOL), _openness(rng),
+                        for _ in range(_randint(rng, 0, MAX_ARGS)))
+    return Class(_choice(rng, TYPE_NAME_POOL), _openness(rng),
                  AttrTypes(class_entries), AttrTypes(inst_entries),
                  ctor_params)
 
@@ -205,7 +239,7 @@ def leaf_term(rng: random.Random, goal: AnthillType) -> AnthillTerm:
     """A closed term of exactly the goal type, with no further recursion."""
     if isinstance(goal, Dyn):
         return App(Fun((("z", DYN),), DYN, Var("z")),
-                   (IntLit(rng.randint(0, 9)),))
+                   (IntLit(_randint(rng, 0, 9)),))
     if isinstance(goal, Function):
         params = tuple((f"v{i}", ty) for i, ty in enumerate(goal.params))
         return Fun(params, goal.ret, leaf_term(rng, goal.ret))
@@ -213,7 +247,7 @@ def leaf_term(rng: random.Random, goal: AnthillType) -> AnthillTerm:
         return _leaf_object(goal, rng)
     if isinstance(goal, Class):
         return _leaf_class(goal, rng)
-    return IntLit(rng.randint(0, 9))
+    return IntLit(_randint(rng, 0, 9))
 
 
 TypeEnv = dict[str, AnthillType]
@@ -239,27 +273,29 @@ TERM_MENUS = {
 def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
                    depth: int) -> AnthillTerm:
     """A term of exactly the goal type under env, recursion-bounded."""
-    candidates = [name for name, ty in env.items() if ty == goal]
+    goal_class = type(goal)
+    candidates = [name for name, ty in env.items()
+                  if type(ty) is goal_class and ty == goal]
     if depth <= 0:
         if candidates and rng.random() < 0.5:
-            return Var(rng.choice(candidates))
+            return Var(_choice(rng, candidates))
         return leaf_term(rng, goal)
 
-    kind = _pick(rng, TERM_MENUS[type(goal), bool(candidates)])
+    kind = _pick(rng, TERM_MENUS[goal_class, bool(candidates)])
 
     if kind == "var":
-        return Var(rng.choice(candidates))
+        return Var(_choice(rng, candidates))
     if kind == "leaf":
         return leaf_term(rng, goal)
     if kind == "let":
         bound_ty = gen_type(rng, depth - 1)
-        name = rng.choice(BINDER_POOL)
+        name = _choice(rng, BINDER_POOL)
         bound = gen_typed_term(rng, env, bound_ty, depth - 1)
         body = gen_typed_term(rng, {**env, name: bound_ty}, goal, depth - 1)
         return Let(name, bound, body)
     if kind == "app_fun":
         arg_tys = tuple(gen_type(rng, depth - 1)
-                        for _ in range(rng.randint(0, MAX_ARGS)))
+                        for _ in range(_randint(rng, 0, MAX_ARGS)))
         fn = gen_typed_term(rng, env, Function(arg_tys, goal), depth - 1)
         args = tuple(gen_typed_term(rng, env, ty, depth - 1)
                      for ty in arg_tys)
@@ -268,25 +304,25 @@ def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
         fn = gen_typed_term(rng, env, DYN, depth - 1)
         args = tuple(gen_typed_term(rng, env, gen_type(rng, depth - 1),
                                     depth - 1)
-                     for _ in range(rng.randint(0, MAX_ARGS)))
+                     for _ in range(_randint(rng, 0, MAX_ARGS)))
         return App(fn, args)
     if kind == "get":
-        label = rng.choice(LABEL_POOL)
+        label = _choice(rng, LABEL_POOL)
         entries = [(label, goal)]
-        extra = rng.choice([l for l in LABEL_POOL if l != label])
+        extra = _choice(rng, [l for l in LABEL_POOL if l != label])
         if rng.random() < 0.4:
             entries.append((extra, gen_type(rng, depth - 1)))
-        subject_ty = Object(rng.choice(TYPE_NAME_POOL), _openness(rng),
+        subject_ty = Object(_choice(rng, TYPE_NAME_POOL), _openness(rng),
                             AttrTypes(entries))
         subject = gen_typed_term(rng, env, subject_ty, depth - 1)
         return Get(subject, label)
     if kind == "get_check":
         subject = gen_typed_term(rng, env, DYN, depth - 1)
-        return Get(subject, rng.choice(LABEL_POOL))
+        return Get(subject, _choice(rng, LABEL_POOL))
     if kind == "set":
-        label = rng.choice(LABEL_POOL)
+        label = _choice(rng, LABEL_POOL)
         value_ty = gen_type(rng, depth - 1)
-        subject_ty = Object(rng.choice(TYPE_NAME_POOL), _openness(rng),
+        subject_ty = Object(_choice(rng, TYPE_NAME_POOL), _openness(rng),
                             AttrTypes([(label, value_ty)]))
         subject = gen_typed_term(rng, env, subject_ty, depth - 1)
         value = gen_typed_term(rng, env, value_ty, depth - 1)
@@ -295,9 +331,9 @@ def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
         subject = gen_typed_term(rng, env, DYN, depth - 1)
         value = gen_typed_term(rng, env, gen_type(rng, depth - 1),
                                depth - 1)
-        return Set(subject, rng.choice(LABEL_POOL), value)
+        return Set(subject, _choice(rng, LABEL_POOL), value)
     if kind == "fun":
-        names = rng.sample(BINDER_POOL, len(goal.params)) \
+        names = _sample(rng, BINDER_POOL, len(goal.params)) \
             if len(goal.params) <= len(BINDER_POOL) \
             else [f"v{i}" for i in range(len(goal.params))]
         params = tuple(zip(names, goal.params))
@@ -355,7 +391,7 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
     if depth >= 2 and goal.class_attrs.names() and rng.random() < 0.35:
         picked = [e for e in goal.class_attrs.items() if rng.random() < 0.5]
         if picked:
-            super_ty = Class(rng.choice(TYPE_NAME_POOL), _openness(rng),
+            super_ty = Class(_choice(rng, TYPE_NAME_POOL), _openness(rng),
                              AttrTypes(picked), AttrTypes(()), ())
             supers.append(gen_typed_term(rng, env, super_ty, depth - 1))
             inherited = {label for label, _ in picked}
@@ -373,7 +409,7 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
     free = [l for l in LABEL_POOL if l not in taken]
     if free and rng.random() < 0.2:
         # an undeclared extra member is allowed
-        fields += ((rng.choice(free),
+        fields += ((_choice(rng, free),
                     gen_typed_term(rng, env, gen_type(rng, depth - 1),
                                    depth - 1)),)
 
@@ -404,11 +440,11 @@ def gen_tag(rng: random.Random) -> Tag:
     if kind == "int":
         return INT_TAG
     if kind == "fun":
-        return FunTag(rng.randint(0, 2))
-    labels = tuple(rng.sample(LABEL_POOL, rng.randint(0, 2)))
+        return FunTag(_randint(rng, 0, 2))
+    labels = tuple(_sample(rng, LABEL_POOL, _randint(rng, 0, 2)))
     if kind == "obj":
         return ObjTag(labels)
-    arity = None if rng.random() < 0.4 else rng.randint(0, 2)
+    arity = None if rng.random() < 0.4 else _randint(rng, 0, 2)
     return ClassTag(labels, arity)
 
 
@@ -428,31 +464,31 @@ def gen_native_expr(rng: random.Random, scope: tuple[str, ...],
     """Arbitrary untyped code over the given variables, all labels native."""
     if depth <= 0:
         if scope and rng.random() < 0.5:
-            return UVar(rng.choice(scope))
-        return UInt(rng.randint(0, 9))
+            return UVar(_choice(rng, scope))
+        return UInt(_randint(rng, 0, 9))
     kind = _pick(rng, NATIVE_MENUS[bool(scope)])
     if kind == "int":
-        return UInt(rng.randint(0, 9))
+        return UInt(_randint(rng, 0, 9))
     if kind == "var":
-        return UVar(rng.choice(scope))
+        return UVar(_choice(rng, scope))
     if kind == "lam":
-        params = tuple(rng.sample(BINDER_POOL, rng.randint(0, 2)))
+        params = tuple(_sample(rng, BINDER_POOL, _randint(rng, 0, 2)))
         return ULam(params, gen_native_expr(rng, scope + params, depth - 1))
     if kind == "app":
         fn = gen_native_expr(rng, scope, depth - 1)
         args = tuple(gen_native_expr(rng, scope, depth - 1)
-                     for _ in range(rng.randint(0, 2)))
+                     for _ in range(_randint(rng, 0, 2)))
         return UApp(fn, args, NATIVE)
     if kind == "let":
-        name = rng.choice(BINDER_POOL)
+        name = _choice(rng, BINDER_POOL)
         return ULet(name, gen_native_expr(rng, scope, depth - 1),
                     gen_native_expr(rng, scope + (name,), depth - 1))
     if kind == "get":
         return UGet(gen_native_expr(rng, scope, depth - 1),
-                    rng.choice(LABEL_POOL), NATIVE)
+                    _choice(rng, LABEL_POOL), NATIVE)
     if kind == "set":
         return USet(gen_native_expr(rng, scope, depth - 1),
-                    rng.choice(LABEL_POOL),
+                    _choice(rng, LABEL_POOL),
                     gen_native_expr(rng, scope, depth - 1), NATIVE)
     if kind == "class":
         return _gen_native_class(rng, scope, depth, None)
@@ -462,8 +498,8 @@ def gen_native_expr(rng: random.Random, scope: tuple[str, ...],
 def gen_native_value(rng: random.Random, scope: tuple[str, ...],
                      depth: int) -> UPyExpr:
     if rng.random() < 0.4:
-        return UInt(rng.randint(0, 9))
-    params = tuple(rng.sample(BINDER_POOL, rng.randint(0, 2)))
+        return UInt(_randint(rng, 0, 9))
+    params = tuple(_sample(rng, BINDER_POOL, _randint(rng, 0, 2)))
     return ULam(params, gen_native_expr(rng, scope + params, depth - 1))
 
 
@@ -471,28 +507,25 @@ def _gen_native_class(rng: random.Random, scope: tuple[str, ...], depth: int,
                       hole_member: UPyExpr | None) -> UPyExpr:
     """A native class literal; if hole_member is given it becomes one
     member and the supers are restricted to values."""
-    if hole_member is not None:
-        supers = tuple(gen_native_value(rng, scope, depth - 1)
-                       for _ in range(rng.randint(0, 1)))
-    else:
-        supers = tuple(gen_native_expr(rng, scope, depth - 1)
-                       for _ in range(rng.randint(0, 1)))
-    labels = rng.sample(LABEL_POOL, rng.randint(1 if hole_member is not None
-                                                else 0, 2))
+    gen_super = gen_native_expr if hole_member is None else gen_native_value
+    supers = tuple(gen_super(rng, scope, depth - 1)
+                   for _ in range(_randint(rng, 0, 1)))
+    labels = _sample(rng, LABEL_POOL,
+                     _randint(rng, 1 if hole_member is not None else 0, 2))
     members: list[tuple[str, UPyExpr]] = []
-    hole_at = rng.randrange(len(labels)) if hole_member is not None else -1
+    hole_at = _below(rng, len(labels)) if hole_member is not None else -1
     for i, label in enumerate(labels):
         value = (hole_member if i == hole_at
                  else gen_native_expr(rng, scope, depth - 1))
         members.append((label, value))
     if rng.random() < 0.8:
-        arity = rng.randint(1, 3)
+        arity = _randint(rng, 1, 3)
         names = tuple(f"v{i}" for i in range(arity))
         ctor = ULam(names, gen_native_expr(rng, scope + names, depth - 1))
     else:
         ctor = gen_native_expr(rng, scope, depth - 1)
-    return UClass(rng.choice(TYPE_NAME_POOL), supers, tuple(members), ctor,
-                  NATIVE)
+    return UClass(_choice(rng, TYPE_NAME_POOL), supers, tuple(members),
+                  ctor, NATIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -517,40 +550,40 @@ def _gen_ctx(rng: random.Random, scope: tuple[str, ...],
         return UHole()
     kind = _pick(rng, CONTEXT_MENU)
     if kind == "let_bound":
-        name = rng.choice(BINDER_POOL)
+        name = _choice(rng, BINDER_POOL)
         return ULet(name, _gen_ctx(rng, scope, depth - 1),
                     gen_native_expr(rng, scope + (name,), depth - 1))
     if kind == "let_body":
-        name = rng.choice(BINDER_POOL)
+        name = _choice(rng, BINDER_POOL)
         return ULet(name, gen_native_expr(rng, scope, depth - 1),
                     _gen_ctx(rng, scope + (name,), depth - 1))
     if kind == "lam_body":
-        params = tuple(rng.sample(BINDER_POOL, rng.randint(0, 2)))
+        params = tuple(_sample(rng, BINDER_POOL, _randint(rng, 0, 2)))
         return ULam(params, _gen_ctx(rng, scope + params, depth - 1))
     if kind == "app_fn":
         return UApp(_gen_ctx(rng, scope, depth - 1),
                     tuple(gen_native_expr(rng, scope, depth - 1)
-                          for _ in range(rng.randint(0, 2))), NATIVE)
+                          for _ in range(_randint(rng, 0, 2))), NATIVE)
     if kind == "app_arg":
         fn = gen_native_expr(rng, scope, depth - 1)
-        count = rng.randint(1, 2)
-        at = rng.randrange(count)
+        count = _randint(rng, 1, 2)
+        at = _below(rng, count)
         inner = _gen_ctx(rng, scope, depth - 1)
         args = tuple(inner if i == at
                      else gen_native_expr(rng, scope, depth - 1)
                      for i in range(count))
         return UApp(fn, args, NATIVE)
     if kind == "get_subject":
-        return UGet(_gen_ctx(rng, scope, depth - 1), rng.choice(LABEL_POOL),
-                    NATIVE)
+        return UGet(_gen_ctx(rng, scope, depth - 1),
+                    _choice(rng, LABEL_POOL), NATIVE)
     if kind == "set_subject":
         inner = _gen_ctx(rng, scope, depth - 1)
         value = gen_native_expr(rng, scope, depth - 1)
-        return USet(inner, rng.choice(LABEL_POOL), value, NATIVE)
+        return USet(inner, _choice(rng, LABEL_POOL), value, NATIVE)
     if kind == "set_value":
         subject = gen_native_expr(rng, scope, depth - 1)
         inner = _gen_ctx(rng, scope, depth - 1)
-        return USet(subject, rng.choice(LABEL_POOL), inner, NATIVE)
+        return USet(subject, _choice(rng, LABEL_POOL), inner, NATIVE)
     if kind == "check":
         return UCheck(_gen_ctx(rng, scope, depth - 1), gen_tag(rng))
     if kind == "class_super":

@@ -20,8 +20,10 @@ from .upython import (
     PYOBJ,
     ClassTag,
     FunTag,
+    IntTag,
     Label,
     ObjTag,
+    Pyobj,
     Tag,
     UAddr,
     UApp,
@@ -180,7 +182,16 @@ def value_tag(v: UPyExpr, heap: Heap) -> Tag:
 
 
 def check(v: UPyExpr, heap: Heap, tag: Tag) -> bool:
-    """Shallow tag test on a value: its own tag lies below tag."""
+    """Shallow tag test on a value: its own tag lies below tag. A pyobj,
+    int or fun[n] tag is decided without the labels of a record."""
+    if isinstance(tag, Pyobj):
+        return True
+    if isinstance(tag, IntTag):
+        return isinstance(v, UInt)
+    if isinstance(tag, FunTag):
+        if isinstance(v, UAddr) and isinstance(heap.get(v.addr), ClassH):
+            return class_arity(value_tag(heap[v.addr].ctor, heap)) == tag.arity
+        return isinstance(v, ULam) and len(v.params) == tag.arity
     return tag_subtype(value_tag(v, heap), tag)
 
 

@@ -41,6 +41,7 @@ from .upython import (
     ClassTag,
     FunTag,
     ObjTag,
+    RuleTable,
     UApp,
     UCheck,
     UClass,
@@ -67,104 +68,94 @@ class StaticTypeError(Exception):
         super().__init__(f"{rule}: {detail}")
 
 
-def _check_params(params) -> None:
-    seen = set()
-    for name, _ in params:
-        if name != "_" and name in seen:
-            raise StaticTypeError("params", f"duplicate parameter {name!r}")
-        seen.add(name)
-
-
-def _param_check_lets(params, body: UPyExpr) -> UPyExpr:
-    # entry checks, one let per parameter, outermost first; the wildcard
-    # binder can never be referenced so it gets no rebinding
-    for name, ty in reversed(params):
-        if name == "_":
-            continue
-        body = ULet(name, UCheck(UVar(name), tag_of(ty)), body)
-    return body
-
-
 def translate_program(term: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
     """Translate a closed term."""
     return translate_term({}, term)
 
 
 def translate_term(env: TypeEnv, t: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise StaticTypeError("var", f"unbound variable {t.name!r}", t)
-        return UVar(t.name), env[t.name]
+    return _TERM_RULES[type(t)](env, t)
 
-    if isinstance(t, IntLit):
-        return UInt(t.value), INT
 
-    if isinstance(t, Let):
-        bound, bound_ty = translate_term(env, t.bound)
-        body, body_ty = translate_term({**env, t.name: bound_ty}, t.body)
-        return ULet(t.name, bound, body), body_ty
+def _not_a_term(env: TypeEnv, t) -> tuple[UPyExpr, AnthillType]:
+    raise StaticTypeError("term", f"not a term: {t!r}", t)
 
-    if isinstance(t, Get):
-        subject, subj_ty = translate_term(env, t.subject)
-        attr_ty = _member_type("get", subj_ty, t)
-        if attr_ty is None:
-            return UGet(UCheck(subject, ObjTag((t.attr,))), t.attr, TRANSLATED), DYN
-        return UCheck(UGet(subject, t.attr, TRANSLATED), tag_of(attr_ty)), attr_ty
 
-    if isinstance(t, Set):
-        subject, subj_ty = translate_term(env, t.subject)
-        attr_ty = _member_type("set", subj_ty, t)
-        value, value_ty = translate_term(env, t.value)
-        if attr_ty is None:
-            return USet(UCheck(subject, ObjTag(())), t.attr, value,
-                        TRANSLATED), INT
-        if not subtype_consistent(value_ty, attr_ty):
-            raise StaticTypeError(
-                "set",
-                f"value type {print_anthill_type(value_ty)} does not "
-                f"flow into member {t.attr!r} of type "
-                f"{print_anthill_type(attr_ty)}", t)
-        return USet(subject, t.attr, UCheck(value, tag_of(attr_ty)),
+def _var(env: TypeEnv, t: Var) -> tuple[UPyExpr, AnthillType]:
+    if t.name not in env:
+        raise StaticTypeError("var", f"unbound variable {t.name!r}", t)
+    return UVar(t.name), env[t.name]
+
+
+def _int_lit(env: TypeEnv, t: IntLit) -> tuple[UPyExpr, AnthillType]:
+    return UInt(t.value), INT
+
+
+def _let(env: TypeEnv, t: Let) -> tuple[UPyExpr, AnthillType]:
+    bound, bound_ty = _TERM_RULES[type(t.bound)](env, t.bound)
+    body, body_ty = _TERM_RULES[type(t.body)]({**env, t.name: bound_ty},
+                                              t.body)
+    return ULet(t.name, bound, body), body_ty
+
+
+def _get(env: TypeEnv, t: Get) -> tuple[UPyExpr, AnthillType]:
+    subject, subj_ty = _TERM_RULES[type(t.subject)](env, t.subject)
+    attr_ty = _member_type("get", subj_ty, t)
+    if attr_ty is None:
+        return UGet(UCheck(subject, ObjTag((t.attr,))), t.attr, TRANSLATED), DYN
+    return UCheck(UGet(subject, t.attr, TRANSLATED), tag_of(attr_ty)), attr_ty
+
+
+def _set(env: TypeEnv, t: Set) -> tuple[UPyExpr, AnthillType]:
+    subject, subj_ty = _TERM_RULES[type(t.subject)](env, t.subject)
+    attr_ty = _member_type("set", subj_ty, t)
+    value, value_ty = _TERM_RULES[type(t.value)](env, t.value)
+    if attr_ty is None:
+        return USet(UCheck(subject, ObjTag(())), t.attr, value,
                     TRANSLATED), INT
+    if not subtype_consistent(value_ty, attr_ty):
+        raise StaticTypeError(
+            "set",
+            f"value type {print_anthill_type(value_ty)} does not "
+            f"flow into member {t.attr!r} of type "
+            f"{print_anthill_type(attr_ty)}", t)
+    return USet(subject, t.attr, UCheck(value, tag_of(attr_ty)),
+                TRANSLATED), INT
 
-    if isinstance(t, Fun):
-        return (_lambda(env, "fun", t.params, t.params, t.ret, t.body, t),
-                Function(tuple(ty for _, ty in t.params), t.ret))
 
-    if isinstance(t, App):
-        fn, fn_ty = translate_term(env, t.fn)
-        arg_pairs = [translate_term(env, a) for a in t.args]
-        args = tuple(e for e, _ in arg_pairs)
+def _fun(env: TypeEnv, t: Fun) -> tuple[UPyExpr, AnthillType]:
+    return (_lambda(env, "fun", t.params, t.params, t.ret, t.body, t),
+            Function(tuple(ty for _, ty in t.params), t.ret))
 
-        if isinstance(fn_ty, Dyn):
-            return (UApp(UCheck(fn, FunTag(len(args))), args, TRANSLATED),
-                    DYN)
 
-        if isinstance(fn_ty, Class):
-            fn_ty = factory_type(fn_ty)
-        if isinstance(fn_ty, Function):
-            if len(fn_ty.params) != len(args):
+def _app(env: TypeEnv, t: App) -> tuple[UPyExpr, AnthillType]:
+    fn, fn_ty = _TERM_RULES[type(t.fn)](env, t.fn)
+    arg_pairs = [_TERM_RULES[type(a)](env, a) for a in t.args]
+    args = tuple(e for e, _ in arg_pairs)
+
+    if isinstance(fn_ty, Dyn):
+        return UApp(UCheck(fn, FunTag(len(args))), args, TRANSLATED), DYN
+
+    if isinstance(fn_ty, Class):
+        fn_ty = factory_type(fn_ty)
+    if isinstance(fn_ty, Function):
+        if len(fn_ty.params) != len(args):
+            raise StaticTypeError(
+                "app",
+                f"arity mismatch: callee takes {len(fn_ty.params)} "
+                f"argument(s), got {len(args)}", t)
+        for (_, arg_ty), param_ty in zip(arg_pairs, fn_ty.params):
+            if not subtype_consistent(arg_ty, param_ty):
                 raise StaticTypeError(
                     "app",
-                    f"arity mismatch: callee takes {len(fn_ty.params)} "
-                    f"argument(s), got {len(args)}", t)
-            for (_, arg_ty), param_ty in zip(arg_pairs, fn_ty.params):
-                if not subtype_consistent(arg_ty, param_ty):
-                    raise StaticTypeError(
-                        "app",
-                        f"argument type {print_anthill_type(arg_ty)} does "
-                        f"not flow into parameter type "
-                        f"{print_anthill_type(param_ty)}", t)
-            return (UCheck(UApp(fn, args, TRANSLATED), tag_of(fn_ty.ret)),
-                    fn_ty.ret)
+                    f"argument type {print_anthill_type(arg_ty)} does "
+                    f"not flow into parameter type "
+                    f"{print_anthill_type(param_ty)}", t)
+        return (UCheck(UApp(fn, args, TRANSLATED), tag_of(fn_ty.ret)),
+                fn_ty.ret)
 
-        raise StaticTypeError(
-            "app", f"call of non-function type {print_anthill_type(fn_ty)}", t)
-
-    if isinstance(t, ClassDecl):
-        return _translate_class(env, t)
-
-    raise StaticTypeError("term", f"not a term: {t!r}", t)
+    raise StaticTypeError(
+        "app", f"call of non-function type {print_anthill_type(fn_ty)}", t)
 
 
 def _mems_or_error(rule, ty, subterm):
@@ -193,7 +184,7 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
     super_exprs = []
     super_mems = []
     for s in t.supers:
-        se, sty = translate_term(env, s)
+        se, sty = _TERM_RULES[type(s)](env, s)
         sm = _mems_or_error("class", sty, s)
         super_exprs.append(UCheck(se, ClassTag(sm.names(), None)))
         super_mems.append(sm)
@@ -208,7 +199,7 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
     # checked against that type's tag before the parameters; its member
     # type has the receiver slot at the dynamic type, so it lines up
     # with the class-attribute declarations and the lambda's arity
-    inst = instance_type(declared)
+    inst = instance_type(declared) if t.methods else None
     local_types: dict[str, AnthillType] = {}
     method_members = []
     for m in t.methods:
@@ -219,7 +210,7 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
             (DYN,) + tuple(ty for _, ty in m.params), m.ret)
     field_members = []
     for name, fe in t.fields:
-        fe2, fty = translate_term(env, fe)
+        fe2, fty = _TERM_RULES[type(fe)](env, fe)
         field_members.append((name, fe2))
         local_types[name] = fty
 
@@ -252,12 +243,27 @@ def _lambda(env: TypeEnv, rule: str, params, checked, ret: AnthillType,
     constructors. The body is typed with params bound at their types,
     and its type must flow into ret; each parameter in checked, a
     suffix of params, is rebound through an entry check."""
-    _check_params(params)
+    seen = set()
+    for name, _ in params:
+        if name != "_" and name in seen:
+            raise StaticTypeError("params", f"duplicate parameter {name!r}")
+        seen.add(name)
     inner = {**env, **{n: ty for n, ty in params if n != "_"}}
-    body, body_ty = translate_term(inner, body)
+    body, body_ty = _TERM_RULES[type(body)](inner, body)
     if not subtype_consistent(body_ty, ret):
         raise StaticTypeError(
             rule,
             f"body type {print_anthill_type(body_ty)} does not flow into "
             f"declared return type {print_anthill_type(ret)}", subterm)
-    return ULam(tuple(n for n, _ in params), _param_check_lets(checked, body))
+    # entry checks, one let per parameter, outermost first; the wildcard
+    # binder can never be referenced so it gets no rebinding
+    for name, ty in reversed(checked):
+        if name != "_":
+            body = ULet(name, UCheck(UVar(name), tag_of(ty)), body)
+    return ULam(tuple(n for n, _ in params), body)
+
+
+# the translation rule of each term class; the rules recurse through it
+_TERM_RULES = RuleTable(_not_a_term, {
+    Var: _var, IntLit: _int_lit, Let: _let, Get: _get, Set: _set, Fun: _fun,
+    App: _app, ClassDecl: _translate_class})

@@ -48,6 +48,21 @@ def node(cls):
     return cls
 
 
+class RuleTable(dict):
+    """Node class -> the rule for its nodes; a class with no rule gets
+    `missing`. A layer dispatches with one subscript, `table[type(n)]`,
+    and calls the rule itself, so it spends one frame per level."""
+
+    __slots__ = ("missing",)
+
+    def __init__(self, missing, rules) -> None:
+        super().__init__(rules)
+        self.missing = missing
+
+    def __missing__(self, cls):
+        return self.missing
+
+
 class Label(enum.Enum):
     NATIVE = "native"
     TRANSLATED = "translated"

@@ -18,6 +18,7 @@ from .upython import (
     FunTag,
     ObjTag,
     Pyobj,
+    RuleTable,
     Tag,
     UAddr,
     UApp,
@@ -58,13 +59,6 @@ def tag_env(bindings=()) -> TagEnv:
     return tuple(bindings)
 
 
-def env_lookup(env: TagEnv, name: str) -> Tag | None:
-    for n, t in reversed(env):
-        if n == name:
-            return t
-    return None
-
-
 # ---------------------------------------------------------------------------
 # inference
 
@@ -72,90 +66,108 @@ def env_lookup(env: TagEnv, name: str) -> Tag | None:
 def infer(env, sigma: HeapType, e: UPyExpr) -> Tag:
     """Principal tag of e, or TagError. env may be a dict or a tuple of
     (name, tag) pairs; later entries shadow earlier ones."""
-    return _infer(tag_env(env), sigma, e)
+    return _INFER_RULES[type(e)](tag_env(env), sigma, e)
 
 
 def _demand(env: TagEnv, sigma: HeapType, e: UPyExpr, want: Tag,
             rule: str) -> None:
-    got = _infer(env, sigma, e)
+    got = _INFER_RULES[type(e)](env, sigma, e)
     if not tag_subtype(got, want):
         raise TagError(rule, f"needs {print_tag(want)}, subexpression has "
                        f"{print_tag(got)}", e)
 
 
-def _infer(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
-    if isinstance(e, UVar):
-        tag = env_lookup(env, e.name)
-        if tag is None:
-            raise TagError("var", f"unbound variable {e.name!r}", e)
-        return tag
+def _untypeable(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
+    raise TagError("expr", f"not a typeable expression: {print_upython(e)}",
+                   e)
 
-    if isinstance(e, UInt):
-        return INT_TAG
 
-    if isinstance(e, UAddr):
-        if e.addr not in sigma:
-            raise TagError("addr", f"address @{e.addr} not in heap type", e)
-        return sigma[e.addr]
+def _var(env: TagEnv, sigma: HeapType, e: UVar) -> Tag:
+    for name, tag in reversed(env):
+        if name == e.name:
+            return tag
+    raise TagError("var", f"unbound variable {e.name!r}", e)
 
-    if isinstance(e, ULam):
-        inner = env + tuple((x, PYOBJ) for x in e.params)
-        _infer(inner, sigma, e.body)
-        return FunTag(len(e.params))
 
-    if isinstance(e, UCheck):
-        _infer(env, sigma, e.subject)
-        return e.tag
+def _int(env: TagEnv, sigma: HeapType, e: UInt) -> Tag:
+    return INT_TAG
 
-    if isinstance(e, ULet):
-        bound = _infer(env, sigma, e.bound)
-        return _infer(env + ((e.name, bound),), sigma, e.body)
 
-    if isinstance(e, UApp):
-        want = PYOBJ if e.label is NATIVE else FunTag(len(e.args))
-        _demand(env, sigma, e.fn, want, "app")
-        for a in e.args:
-            _demand(env, sigma, a, PYOBJ, "app")
-        return PYOBJ
+def _addr(env: TagEnv, sigma: HeapType, e: UAddr) -> Tag:
+    if e.addr not in sigma:
+        raise TagError("addr", f"address @{e.addr} not in heap type", e)
+    return sigma[e.addr]
 
-    if isinstance(e, UGet):
-        want = PYOBJ if e.label is NATIVE else ObjTag((e.attr,))
-        _demand(env, sigma, e.subject, want, "get")
-        return PYOBJ
 
-    if isinstance(e, USet):
-        want = PYOBJ if e.label is NATIVE else ObjTag(())
-        _demand(env, sigma, e.subject, want, "set")
-        _demand(env, sigma, e.value, PYOBJ, "set")
-        return INT_TAG
+def _lam(env: TagEnv, sigma: HeapType, e: ULam) -> Tag:
+    inner = env + tuple((x, PYOBJ) for x in e.params)
+    _INFER_RULES[type(e.body)](inner, sigma, e.body)
+    return FunTag(len(e.params))
 
-    if isinstance(e, UClass):
-        own = frozenset(l for l, _ in e.members)
-        for _, m in e.members:
-            _demand(env, sigma, m, PYOBJ, "class")
-        if e.label is NATIVE:
-            for s in e.supers:
-                _demand(env, sigma, s, PYOBJ, "class")
-            _demand(env, sigma, e.ctor, PYOBJ, "class")
-            return ClassTag(own, None)
-        inherited: frozenset[str] = frozenset()
+
+def _check(env: TagEnv, sigma: HeapType, e: UCheck) -> Tag:
+    _INFER_RULES[type(e.subject)](env, sigma, e.subject)
+    return e.tag
+
+
+def _let(env: TagEnv, sigma: HeapType, e: ULet) -> Tag:
+    bound = _INFER_RULES[type(e.bound)](env, sigma, e.bound)
+    return _INFER_RULES[type(e.body)](env + ((e.name, bound),), sigma, e.body)
+
+
+def _app(env: TagEnv, sigma: HeapType, e: UApp) -> Tag:
+    want = PYOBJ if e.label is NATIVE else FunTag(len(e.args))
+    _demand(env, sigma, e.fn, want, "app")
+    for a in e.args:
+        _demand(env, sigma, a, PYOBJ, "app")
+    return PYOBJ
+
+
+def _get(env: TagEnv, sigma: HeapType, e: UGet) -> Tag:
+    want = PYOBJ if e.label is NATIVE else ObjTag((e.attr,))
+    _demand(env, sigma, e.subject, want, "get")
+    return PYOBJ
+
+
+def _set(env: TagEnv, sigma: HeapType, e: USet) -> Tag:
+    want = PYOBJ if e.label is NATIVE else ObjTag(())
+    _demand(env, sigma, e.subject, want, "set")
+    _demand(env, sigma, e.value, PYOBJ, "set")
+    return INT_TAG
+
+
+def _class(env: TagEnv, sigma: HeapType, e: UClass) -> Tag:
+    own = frozenset(l for l, _ in e.members)
+    for _, m in e.members:
+        _demand(env, sigma, m, PYOBJ, "class")
+    if e.label is NATIVE:
         for s in e.supers:
-            stag = _infer(env, sigma, s)
-            if not (isinstance(stag, ClassTag)):
-                raise TagError(
-                    "class",
-                    f"superclass has non-class tag {print_tag(stag)}", s)
-            inherited |= stag.labels
-        ctor_tag = _infer(env, sigma, e.ctor)
-        arity = class_arity(ctor_tag)
-        if arity is None:
+            _demand(env, sigma, s, PYOBJ, "class")
+        _demand(env, sigma, e.ctor, PYOBJ, "class")
+        return ClassTag(own, None)
+    inherited: frozenset[str] = frozenset()
+    for s in e.supers:
+        stag = _INFER_RULES[type(s)](env, sigma, s)
+        if not (isinstance(stag, ClassTag)):
             raise TagError(
                 "class",
-                f"constructor tag {print_tag(ctor_tag)} cannot take a "
-                f"receiver", e)
-        return ClassTag(own | inherited, arity)
+                f"superclass has non-class tag {print_tag(stag)}", s)
+        inherited |= stag.labels
+    ctor_tag = _INFER_RULES[type(e.ctor)](env, sigma, e.ctor)
+    arity = class_arity(ctor_tag)
+    if arity is None:
+        raise TagError(
+            "class",
+            f"constructor tag {print_tag(ctor_tag)} cannot take a "
+            f"receiver", e)
+    return ClassTag(own | inherited, arity)
 
-    raise TagError("expr", f"not a typeable expression: {print_upython(e)}", e)
+
+# the inference rule of each expression class, through which the rules
+# recurse; a hole has none
+_INFER_RULES = RuleTable(_untypeable, {
+    UVar: _var, UInt: _int, UAddr: _addr, ULam: _lam, UCheck: _check,
+    ULet: _let, UApp: _app, UGet: _get, USet: _set, UClass: _class})
 
 
 def verifies(env, sigma: HeapType, e: UPyExpr, want: Tag) -> bool:

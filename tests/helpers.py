@@ -42,6 +42,17 @@ def seeds(n: int, base: int = 20240) -> range:
     return range(base, base + n)
 
 
+def package_subclasses(base: type) -> set[type]:
+    """The classes below base, at any depth, that the package defines."""
+    found, todo = set(), [base]
+    while todo:
+        for c in todo.pop().__subclasses__():
+            if c.__module__.startswith("anthill.") and c not in found:
+                found.add(c)
+                todo.append(c)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # tags
 

@@ -251,6 +251,18 @@ def test_attr_map_rejects_duplicates():
         AttrTypes((("a", INT), ("a", DYN)))
 
 
+def test_attr_map_coerces_labels_to_strings_in_declaration_order():
+    d = AttrTypes(((1, INT), ("b", DYN)))
+    assert d.names() == ("1", "b") and d.entries == (("1", INT), ("b", DYN))
+    assert d["1"] == INT and "b" in d and 1 not in d
+    # from a one-shot iterator too
+    assert AttrTypes(iter([("b", DYN), (1, INT)])).names() == ("b", "1")
+    # a label coerced to a string can repeat a string label
+    with pytest.raises(ValueError) as err:
+        AttrTypes((("c", INT), (1, INT), ("1", DYN)))
+    assert str(err.value) == "duplicate attribute label '1'"
+
+
 def test_class_declaration_rejects_a_method_and_field_sharing_a_label():
     with pytest.raises(ValueError, match="duplicate member label 'm'"):
         ClassDecl("C", OPEN, attrs(), attrs(), (),

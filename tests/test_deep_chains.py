@@ -1,7 +1,8 @@
 """Stack use of the structural traversals: a 600-deep chain of a
 single-child form fits under the default recursion limit only while
 each traversal takes at most one Python frame per level of nesting.
-Check erasure and the interpreter take none: a check chain 5,000 deep
+Translation and inference take one through their rule tables. Check
+erasure and the interpreter take none: a check chain 5,000 deep
 erases, and a redex under 5,000 frames steps and runs."""
 
 import dataclasses
@@ -9,10 +10,13 @@ import dataclasses
 import pytest
 
 from anthill.contexts import plug, validate_context
+from anthill.core import DYN, Get, IntLit, Let, Var
 from anthill.runtime import ClassH, Heap, ObjH, Stepped, Value, run, step, \
     substitute
 from anthill.upython import PYOBJ, UAddr, UApp, UCheck, UClass, UGet, UHole, \
     UInt, ULam, ULet, UPyExpr, USet, UVar, erase_checks
+from anthill.translate import translate_term
+from anthill.verify import verifies
 
 DEPTH = 600
 
@@ -61,6 +65,22 @@ def test_deep_chains_erase_checks(form):
     checked = _chain(lambda e: wrap(UCheck(e, PYOBJ)), UInt(5))
     bare = UInt(5) if form == "check" else _chain(wrap, UInt(5))
     assert _shape(erase_checks(checked)) == _shape(bare)
+
+
+# the forms whose translation or inference rule recurses straight back
+# into the rule table, at one frame per level; the native get and a
+# call's argument list take a second frame
+@pytest.mark.parametrize("form", ["check", "lambda-body", "let-body"])
+def test_deep_chains_infer(form):
+    chain = _chain(SINGLE_CHILD_FORMS[form], UInt(5))
+    assert verifies((), {}, chain, PYOBJ)
+
+
+@pytest.mark.parametrize("wrap", [lambda t: Let("y", IntLit(1), t),
+                                  lambda t: Get(t, "m")],
+                         ids=["let-body", "get"])
+def test_deep_chains_translate(wrap):
+    assert translate_term({"x": DYN}, _chain(wrap, Var("x")))[1] == DYN
 
 
 REDEX_DEPTH = 5000

@@ -7,7 +7,11 @@ import random
 from anthill import generate
 from anthill.core import Dyn, Function, Int, Object
 from anthill.generate import (
+    _below,
+    _choice,
     _pick,
+    _randint,
+    _sample,
     _table,
     gen_native_expr,
     gen_type,
@@ -136,4 +140,36 @@ def test_pick_draws_like_choices():
             b = random.Random()
             b.setstate(a.getstate())
             assert _pick(a, table) == b.choices(kinds, weights)[0]
+            assert a.getstate() == b.getstate()
+
+
+# every draw the generators make, as (replay, the random.Random method
+# it replays): randint over each range used (0-n for n up to the four
+# labels a class type may draw), choice over the pools and shorter
+# lists, sample of every size from both pools, randrange(1) and (2)
+_DRAWS = [
+    *((lambda r, a=a, b=b: _randint(r, a, b),
+       lambda r, a=a, b=b: r.randint(a, b))
+      for a, b in ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 9), (1, 2),
+                   (1, 3))),
+    *((lambda r, s=seq: _choice(r, s), lambda r, s=seq: r.choice(s))
+      for seq in (generate.BINDER_POOL, generate.LABEL_POOL,
+                  generate.TYPE_NAME_POOL,
+                  *(list(generate.BINDER_POOL[:n]) for n in range(1, 8)))),
+    *((lambda r, p=pool, k=k: _sample(r, p, k),
+       lambda r, p=pool, k=k: r.sample(p, k))
+      for pool in (generate.LABEL_POOL, generate.BINDER_POOL)
+      for k in range(len(pool) + 1)),
+    *((lambda r, n=n: _below(r, n), lambda r, n=n: r.randrange(n))
+      for n in (1, 2)),
+]
+
+
+def test_draw_helpers_replay_random_exactly():
+    for seed in seeds(300):
+        a = random.Random(seed)
+        b = random.Random()
+        b.setstate(a.getstate())
+        for replay, method in _DRAWS:
+            assert replay(a) == method(b)
             assert a.getstate() == b.getstate()

@@ -305,7 +305,10 @@ def test_check_is_the_tag_order_over_the_value_tag():
             own = value_tag(v, heap)
             assert o_check(heap, v, own), (v, own)
             for t in universe:
-                assert o_check(heap, v, t) == tag_subtype(own, t), (v, t)
+                # check answers pyobj, int and fun[n] without value_tag
+                want = tag_subtype(own, t)
+                assert o_check(heap, v, t) == want, (v, t)
+                assert check(v, heap, t) == want, (v, t)
                 compared += 1
     assert compared >= 100_000
 

@@ -6,12 +6,16 @@ import random
 
 import pytest
 
-from anthill.core import DYN, tag_of
+from anthill import translate
+from anthill.core import DYN, AnthillTerm, tag_of
 from anthill.generate import gen_type, gen_typed_program, gen_typed_term
 from anthill.parser import parse_anthill, parse_upython
 from anthill.printer import print_anthill_type, print_upython
 from anthill.translate import StaticTypeError, translate_program, translate_term
+from anthill.upython import UHole
 from anthill.verify import verifies
+
+from helpers import package_subclasses
 
 
 def translated(src: str):
@@ -200,3 +204,15 @@ def test_translation_under_an_environment_verifies_under_its_image():
         assert ty == goal
         tag_env = tuple((n, tag_of(t)) for n, t in env.items())
         assert verifies(tag_env, {}, target, tag_of(ty))
+
+
+def test_every_term_class_has_a_translation_rule():
+    classes = package_subclasses(AnthillTerm)
+    assert {"Var", "App", "ClassDecl"} <= {c.__name__ for c in classes}
+    assert classes == set(translate._TERM_RULES)
+    # a hole, a type and a non-node are not terms
+    for t in (UHole(), DYN, object()):
+        with pytest.raises(StaticTypeError) as err:
+            translate_term({}, t)
+        assert err.value.rule == "term"
+        assert str(err.value) == f"term: not a term: {t!r}"

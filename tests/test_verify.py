@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import anthill
+from anthill import verify
 from anthill.parser import parse_upython
 from anthill.runtime import ClassH, Heap, ObjH
 from anthill.upython import (
@@ -18,8 +21,10 @@ from anthill.upython import (
     ObjTag,
     Pyobj,
     UAddr,
+    UHole,
     UInt,
     ULam,
+    UPyExpr,
     UVar,
 )
 from anthill.verify import (
@@ -32,7 +37,13 @@ from anthill.verify import (
     verifies,
 )
 
-from helpers import rand_bounded_expr, rand_layered_heap, rand_tag, seeds
+from helpers import (
+    package_subclasses,
+    rand_bounded_expr,
+    rand_layered_heap,
+    rand_tag,
+    seeds,
+)
 from oracles import DeclarativeTyping, TagOrder, tag_universe
 
 PYOBJ = Pyobj()
@@ -373,3 +384,16 @@ def test_expression_messages_print_terms_not_reprs():
         "not a context form: @1",
         "expr: not a typeable expression: HOLE",
     ]
+
+
+def test_every_expression_class_but_the_hole_has_an_inference_rule():
+    classes = package_subclasses(UPyExpr)
+    assert {"UVar", "UApp", "UClass", "UHole"} <= {c.__name__ for c in classes}
+    assert classes - {UHole} == set(verify._INFER_RULES)
+    with pytest.raises(TagError) as err:
+        infer((), {}, UHole())
+    assert err.value.rule == "expr"
+    assert str(err.value) == "expr: not a typeable expression: HOLE"
+    # a non-node is refused by the printer that would name it in the error
+    with pytest.raises(TypeError, match="^not an expression: <object"):
+        infer((), {}, object())
