@@ -48,7 +48,11 @@ def validate_context(ctx: CodeContext) -> None:
     """Raise ContextError unless ctx has exactly one hole, carries only
     native labels, and has value superclasses on any class whose member
     expression contains the hole."""
-    nodes = list(walk(ctx))
+    nodes, stack = [], [ctx]
+    while stack:
+        e = stack.pop()
+        nodes.append(e)
+        stack.extend(reversed(e.children()))
     n = sum(isinstance(e, UHole) for e in nodes)
     if n != 1:
         raise ContextError(f"context must have exactly one hole, found {n}")
@@ -70,13 +74,15 @@ def plug(ctx: CodeContext, e: UPyExpr) -> UPyExpr:
     """Replace the hole with e, verbatim. ctx must be a valid context,
     as validate_context checks and both callers ensure; one with no hole
     raises TagError. Only the nodes on the path to the hole are rebuilt."""
-    return rebuild_path(_hole_path(ctx), e)
+    return rebuild_path([(node, list(kids), i)
+                         for node, kids, i in _path_of(ctx)], e)
 
 
-def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, list, int]]:
-    """The interpreter's (node, kids list, slot) frames from ctx down to
-    its first hole in evaluation order, found without recursion: one
-    [node, children, next slot] frame per node on the current path."""
+def _hole_path(ctx: CodeContext) -> tuple[tuple[UPyExpr, tuple, int], ...]:
+    """The interpreter's (node, kids, slot) frames from ctx down to its
+    first hole in evaluation order, found without recursion: one [node,
+    children, next slot] frame per node on the current path. kids is
+    node's children tuple; a consumer that fills the slot copies it."""
     path = [[None, (ctx,), 0]]
     while path:
         frame = path[-1]
@@ -86,9 +92,25 @@ def _hole_path(ctx: CodeContext) -> list[tuple[UPyExpr, list, int]]:
             continue
         frame[2] = i + 1
         if isinstance(kids[i], UHole):
-            return [(node, list(kids), j - 1) for node, kids, j in path[1:]]
+            return tuple((node, kids, j - 1) for node, kids, j in path[1:])
         path.append([kids[i], kids[i].children(), 0])
     raise TagError("context", f"no hole beneath {print_upython(ctx)}", ctx)
+
+
+# The context whose hole path was found last, and that path. A trial
+# asks for one context's path three times in a row, through
+# hole_binders, type_context and plug; a context is immutable and the
+# path is a tuple of tuples, so a repeated ask takes the same answer.
+_last_path = (None, ())
+
+
+def _path_of(ctx: CodeContext) -> tuple[tuple[UPyExpr, tuple, int], ...]:
+    global _last_path
+    last, path = _last_path
+    if last is not ctx:
+        path = _hole_path(ctx)
+        _last_path = (ctx, path)
+    return path
 
 
 def hole_binders(ctx: CodeContext) -> tuple[str, ...]:
@@ -96,7 +118,7 @@ def hole_binders(ctx: CodeContext) -> tuple[str, ...]:
     each lambda's parameters, and a let's name when the hole is in the
     let's body. A plugged term may use each of them, at dyn."""
     names = []
-    for node, _, i in _hole_path(ctx):
+    for node, _, i in _path_of(ctx):
         if isinstance(node, ULam):
             names.extend(node.params)
         elif isinstance(node, ULet) and i == 1:
@@ -117,7 +139,7 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
     hole = UVar("$hole")
     # fold the hole's path outwards: (env, tag) is what the child at
     # index i, the one holding the hole, was typed with and at
-    for node, kids, i in reversed(_hole_path(ctx)):
+    for node, kids, i in reversed(_path_of(ctx)):
         if isinstance(node, ULam):
             k = len(node.params)
             expected = tuple((x, PYOBJ) for x in node.params)
@@ -141,6 +163,7 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
                     f"let-bound expression has {print_tag(bound_tag)}, hole "
                     f"assumes {print_tag(assumed)}")
             continue  # the let has its body's tag, and its bound is typed
+        kids = list(kids)
         kids[i] = hole
         tag = infer(env + ((hole.name, tag),), {}, node.rebuild(kids))
     return env, tag

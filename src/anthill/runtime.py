@@ -13,7 +13,7 @@ offending elimination form.
 from __future__ import annotations
 
 from itertools import repeat
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .upython import (
     INT_TAG,
@@ -24,6 +24,7 @@ from .upython import (
     Label,
     ObjTag,
     Pyobj,
+    RuleTable,
     Tag,
     UAddr,
     UApp,
@@ -36,6 +37,7 @@ from .upython import (
     UPyExpr,
     USet,
     UVar,
+    VALUE_CLASSES,
     class_arity,
     is_value,
     node,
@@ -228,20 +230,87 @@ def substitute(e: UPyExpr, bindings: dict[str, UPyExpr]) -> UPyExpr:
     binders. The substituted values are closed, so capture is moot."""
     if not bindings:
         return e
-    if isinstance(e, UVar):
-        return bindings.get(e.name, e)
-    if isinstance(e, ULam):
-        inner = {x: v for x, v in bindings.items() if x not in e.params}
-        return ULam(e.params, substitute(e.body, inner)) if inner else e
-    if isinstance(e, ULet):
-        bound = substitute(e.bound, bindings)
-        inner = {x: v for x, v in bindings.items() if x != e.name}
-        return ULet(e.name, bound, substitute(e.body, inner))
-    return e.rebuild(tuple(map(substitute, e.children(), repeat(bindings))))
+    return _SUBST_RULES[type(e)](e, bindings)
+
+
+# The substitution rules recurse through _SUBST_RULES, one frame per
+# level of nesting, and are only called with bindings left to make. A
+# rule substitutes a list of children with a loop in its own frame: a
+# comprehension would be a frame of its own.
+
+
+def _subst_leaf(e: UPyExpr, b: dict) -> UPyExpr:
+    return e
+
+
+def _subst_var(e: UVar, b: dict) -> UPyExpr:
+    return b.get(e.name, e)
+
+
+def _subst_lam(e: ULam, b: dict) -> UPyExpr:
+    inner = {x: v for x, v in b.items() if x not in e.params}
+    if not inner:
+        return e
+    body = e.body
+    return ULam(e.params, _SUBST_RULES[type(body)](body, inner))
+
+
+def _subst_let(e: ULet, b: dict) -> UPyExpr:
+    bound, body = e.bound, e.body
+    bound = _SUBST_RULES[type(bound)](bound, b)
+    if e.name in b:
+        b = {x: v for x, v in b.items() if x != e.name}
+        if not b:
+            return ULet(e.name, bound, body)
+    return ULet(e.name, bound, _SUBST_RULES[type(body)](body, b))
+
+
+def _subst_app(e: UApp, b: dict) -> UPyExpr:
+    fn = e.fn
+    args = []
+    for a in e.args:
+        args.append(_SUBST_RULES[type(a)](a, b))
+    return UApp(_SUBST_RULES[type(fn)](fn, b), tuple(args), e.label)
+
+
+def _subst_get(e: UGet, b: dict) -> UPyExpr:
+    s = e.subject
+    return UGet(_SUBST_RULES[type(s)](s, b), e.attr, e.label)
+
+
+def _subst_set(e: USet, b: dict) -> UPyExpr:
+    s, v = e.subject, e.value
+    return USet(_SUBST_RULES[type(s)](s, b), e.attr,
+                _SUBST_RULES[type(v)](v, b), e.label)
+
+
+def _subst_check(e: UCheck, b: dict) -> UPyExpr:
+    s = e.subject
+    return UCheck(_SUBST_RULES[type(s)](s, b), e.tag)
+
+
+def _subst_kids(e: UPyExpr, b: dict) -> UPyExpr:
+    kids = []
+    for k in e.children():
+        kids.append(_SUBST_RULES[type(k)](k, b))
+    return e.rebuild(kids)
+
+
+# the substitution rule of each expression class; a class with none,
+# such as the hole, goes through its children() and rebuild()
+_SUBST_RULES = RuleTable(_subst_kids, {
+    UVar: _subst_var, UInt: _subst_leaf, UAddr: _subst_leaf,
+    ULam: _subst_lam, ULet: _subst_let, UApp: _subst_app, UGet: _subst_get,
+    USet: _subst_set, UCheck: _subst_check, UClass: _subst_kids})
 
 
 # ---------------------------------------------------------------------------
 # stepping
+
+
+# how many of a node's first slots are evaluation positions, for the
+# classes where not every slot is one
+_EVAL_SLOTS = {ULet: 1, ULam: 0}
 
 
 def _open_slot(e: UPyExpr, kids, i: int) -> int:
@@ -249,10 +318,9 @@ def _open_slot(e: UPyExpr, kids, i: int) -> int:
     does not hold a value, or -1 when there is none. Every child slot is
     an evaluation position, in children() order, except the body of a
     let or a lambda."""
-    end = (1 if isinstance(e, ULet) else 0 if isinstance(e, ULam)
-           else len(kids))
+    end = _EVAL_SLOTS.get(type(e), len(kids))
     while i < end:
-        if not is_value(kids[i]):
+        if not isinstance(kids[i], VALUE_CLASSES):
             return i
         i += 1
     return -1
@@ -375,5 +443,7 @@ def run(e: UPyExpr, heap: Heap | None = None, budget: int = 10 ** 6,
             e = r.expr
             if on_step is not None:
                 on_step(steps, r.rule, len(heap))
+        elif type(r) is CastError:
+            return CastError(steps, r.rule)
         else:
-            return replace(r, steps=steps)
+            return PyError(r.label, steps, r.rule)

@@ -243,13 +243,14 @@ def _lambda(env: TypeEnv, rule: str, params, checked, ret: AnthillType,
     constructors. The body is typed with params bound at their types,
     and its type must flow into ret; each parameter in checked, a
     suffix of params, is rebound through an entry check."""
-    seen = set()
-    for name, _ in params:
-        if name != "_" and name in seen:
-            raise StaticTypeError("params", f"duplicate parameter {name!r}")
-        seen.add(name)
-    inner = {**env, **{n: ty for n, ty in params if n != "_"}}
-    body, body_ty = _TERM_RULES[type(body)](inner, body)
+    bound = {}
+    for name, ty in params:
+        if name != "_":
+            if name in bound:
+                raise StaticTypeError("params",
+                                      f"duplicate parameter {name!r}")
+            bound[name] = ty
+    body, body_ty = _TERM_RULES[type(body)]({**env, **bound}, body)
     if not subtype_consistent(body_ty, ret):
         raise StaticTypeError(
             rule,

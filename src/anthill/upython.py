@@ -296,8 +296,11 @@ class UHole(UPyExpr):
     """Context hole. Never evaluated; plugging replaces it."""
 
 
+VALUE_CLASSES = (UInt, ULam, UAddr)
+
+
 def is_value(e: UPyExpr) -> bool:
-    return isinstance(e, (UInt, ULam, UAddr))
+    return isinstance(e, VALUE_CLASSES)
 
 
 def walk(e: UPyExpr):

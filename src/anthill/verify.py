@@ -77,9 +77,9 @@ def _demand(env: TagEnv, sigma: HeapType, e: UPyExpr, want: Tag,
                        f"{print_tag(got)}", e)
 
 
-def _untypeable(env: TagEnv, sigma: HeapType, e: UPyExpr) -> Tag:
-    raise TagError("expr", f"not a typeable expression: {print_upython(e)}",
-                   e)
+def _untypeable(env: TagEnv, sigma: HeapType, e) -> Tag:
+    shown = print_upython(e) if isinstance(e, UPyExpr) else repr(e)
+    raise TagError("expr", f"not a typeable expression: {shown}", e)
 
 
 def _var(env: TagEnv, sigma: HeapType, e: UVar) -> Tag:
@@ -115,35 +115,46 @@ def _let(env: TagEnv, sigma: HeapType, e: ULet) -> Tag:
     return _INFER_RULES[type(e.body)](env + ((e.name, bound),), sigma, e.body)
 
 
+# Every tag lies below pyobj, so a subexpression demanded at pyobj need
+# only be typeable: the rules below call its rule straight, which also
+# keeps their recursion at one frame per level.
+
+
 def _app(env: TagEnv, sigma: HeapType, e: UApp) -> Tag:
-    want = PYOBJ if e.label is NATIVE else FunTag(len(e.args))
-    _demand(env, sigma, e.fn, want, "app")
+    if e.label is NATIVE:
+        _INFER_RULES[type(e.fn)](env, sigma, e.fn)
+    else:
+        _demand(env, sigma, e.fn, FunTag(len(e.args)), "app")
     for a in e.args:
-        _demand(env, sigma, a, PYOBJ, "app")
+        _INFER_RULES[type(a)](env, sigma, a)
     return PYOBJ
 
 
 def _get(env: TagEnv, sigma: HeapType, e: UGet) -> Tag:
-    want = PYOBJ if e.label is NATIVE else ObjTag((e.attr,))
-    _demand(env, sigma, e.subject, want, "get")
+    if e.label is NATIVE:
+        _INFER_RULES[type(e.subject)](env, sigma, e.subject)
+    else:
+        _demand(env, sigma, e.subject, ObjTag((e.attr,)), "get")
     return PYOBJ
 
 
 def _set(env: TagEnv, sigma: HeapType, e: USet) -> Tag:
-    want = PYOBJ if e.label is NATIVE else ObjTag(())
-    _demand(env, sigma, e.subject, want, "set")
-    _demand(env, sigma, e.value, PYOBJ, "set")
+    if e.label is NATIVE:
+        _INFER_RULES[type(e.subject)](env, sigma, e.subject)
+    else:
+        _demand(env, sigma, e.subject, ObjTag(()), "set")
+    _INFER_RULES[type(e.value)](env, sigma, e.value)
     return INT_TAG
 
 
 def _class(env: TagEnv, sigma: HeapType, e: UClass) -> Tag:
     own = frozenset(l for l, _ in e.members)
     for _, m in e.members:
-        _demand(env, sigma, m, PYOBJ, "class")
+        _INFER_RULES[type(m)](env, sigma, m)
     if e.label is NATIVE:
         for s in e.supers:
-            _demand(env, sigma, s, PYOBJ, "class")
-        _demand(env, sigma, e.ctor, PYOBJ, "class")
+            _INFER_RULES[type(s)](env, sigma, s)
+        _INFER_RULES[type(e.ctor)](env, sigma, e.ctor)
         return ClassTag(own, None)
     inherited: frozenset[str] = frozenset()
     for s in e.supers:

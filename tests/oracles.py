@@ -328,6 +328,45 @@ def alpha_normalize(e: UPyExpr) -> UPyExpr:
 
 
 # ---------------------------------------------------------------------------
+# substitution, clause by clause from the rule in the README
+
+
+def o_substitute(e: UPyExpr, sub: dict[str, UPyExpr]) -> UPyExpr:
+    """Simultaneous substitution of closed values, by plain recursion: a
+    variable in the map becomes its value, a lambda hides its
+    parameters from the map, a let hides its name from its body but not
+    from its bound, and every other form substitutes into each child.
+    Every node is rebuilt, even where the map has become empty."""
+    if isinstance(e, UVar):
+        return sub.get(e.name, e)
+    if isinstance(e, (UInt, UAddr, UHole)):
+        return e
+    if isinstance(e, ULam):
+        hidden = {x: v for x, v in sub.items() if x not in e.params}
+        return ULam(e.params, o_substitute(e.body, hidden))
+    if isinstance(e, ULet):
+        hidden = {x: v for x, v in sub.items() if x != e.name}
+        return ULet(e.name, o_substitute(e.bound, sub),
+                    o_substitute(e.body, hidden))
+    if isinstance(e, UApp):
+        return UApp(o_substitute(e.fn, sub),
+                    tuple(o_substitute(a, sub) for a in e.args), e.label)
+    if isinstance(e, UGet):
+        return UGet(o_substitute(e.subject, sub), e.attr, e.label)
+    if isinstance(e, USet):
+        return USet(o_substitute(e.subject, sub), e.attr,
+                    o_substitute(e.value, sub), e.label)
+    if isinstance(e, UClass):
+        return UClass(e.name,
+                      tuple(o_substitute(s, sub) for s in e.supers),
+                      tuple((x, o_substitute(m, sub)) for x, m in e.members),
+                      o_substitute(e.ctor, sub), e.label)
+    if isinstance(e, UCheck):
+        return UCheck(o_substitute(e.subject, sub), e.tag)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+# ---------------------------------------------------------------------------
 # tag order as a closure table over a finite universe
 #
 # The library decides s <: t structurally. Here the order is instead

@@ -1,8 +1,11 @@
-"""Stack use of the structural traversals: a 600-deep chain of a
-single-child form fits under the default recursion limit only while
-each traversal takes at most one Python frame per level of nesting.
-Translation and inference take one through their rule tables. Check
-erasure and the interpreter take none: a check chain 5,000 deep
+"""Stack use of the structural traversals: a 600-deep chain through
+any child slot fits under the default recursion limit only while each
+traversal takes at most one Python frame per level of nesting.
+Translation, inference and substitution take one through their rule
+tables, whichever slot the chain goes through: a subexpression that
+inference demands at pyobj is typed by its own rule, called straight,
+and a list of children is substituted by a loop in the rule's frame.
+Check erasure and the interpreter take none: a check chain 5,000 deep
 erases, and a redex under 5,000 frames steps and runs."""
 
 import dataclasses
@@ -34,16 +37,24 @@ def _chain(wrap, leaf, depth=DEPTH):
     return leaf
 
 
+def _data(v):
+    # a field with each expression in it blanked out
+    if isinstance(v, UPyExpr):
+        return None
+    if isinstance(v, tuple):
+        return tuple(map(_data, v))
+    return v
+
+
 def _shape(e):
-    # each node's type and non-expression fields, parents first: a
-    # structural comparison that, unlike ==, does not recurse
+    # each node's type and fields with the expressions blanked, parents
+    # first: a structural comparison that, unlike ==, does not recurse
     out, stack = [], [e]
     while stack:
         n = stack.pop()
-        values = [getattr(n, f.name) for f in dataclasses.fields(n)]
-        out.append((type(n), [v for v in values
-                              if not isinstance(v, UPyExpr)]))
-        stack.extend(v for v in reversed(values) if isinstance(v, UPyExpr))
+        out.append((type(n), [_data(getattr(n, f.name))
+                              for f in dataclasses.fields(n)]))
+        stack.extend(reversed(n.children()))
     return out
 
 
@@ -67,13 +78,36 @@ def test_deep_chains_erase_checks(form):
     assert _shape(erase_checks(checked)) == _shape(bare)
 
 
-# the forms whose translation or inference rule recurses straight back
-# into the rule table, at one frame per level; the native get and a
-# call's argument list take a second frame
-@pytest.mark.parametrize("form", ["check", "lambda-body", "let-body"])
+# a form with more than one child, by the slot the chain goes through;
+# x fills its other slots
+MULTI_CHILD_POSITIONS = {
+    "call-callee": lambda e, x: UApp(e, (x,)),
+    "call-argument": lambda e, x: UApp(x, (x, e)),
+    "set-value": lambda e, x: USet(x, "m", e),
+    "class-member": lambda e, x: UClass("C", (), (("m", e),), x),
+}
+
+
+@pytest.mark.parametrize("position", sorted(MULTI_CHILD_POSITIONS))
+def test_deep_chains_substitute(position):
+    wrap = MULTI_CHILD_POSITIONS[position]
+    x, filler = UVar("x"), UInt(5)
+    chain = _chain(lambda e: wrap(e, x), x)
+    expected = _shape(_chain(lambda e: wrap(e, filler), filler))
+    assert _shape(substitute(chain, {"x": filler})) == expected
+
+
+@pytest.mark.parametrize("form", ["check", "get", "lambda-body", "let-body"])
 def test_deep_chains_infer(form):
     chain = _chain(SINGLE_CHILD_FORMS[form], UInt(5))
     assert verifies((), {}, chain, PYOBJ)
+
+
+@pytest.mark.parametrize("position", sorted(MULTI_CHILD_POSITIONS))
+def test_deep_chains_infer_through_a_second_child(position):
+    wrap = MULTI_CHILD_POSITIONS[position]
+    assert verifies((), {}, _chain(lambda e: wrap(e, UInt(1)), UInt(5)),
+                    PYOBJ)
 
 
 @pytest.mark.parametrize("wrap", [lambda t: Let("y", IntLit(1), t),

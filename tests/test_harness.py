@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from anthill import harness
+from anthill import contexts, harness
 from anthill.cli import ExitStatus, main
 from anthill.harness import (
     SEED_STRIDE,
@@ -113,6 +113,21 @@ def test_trial_texts_are_pinned():
             .encode())
     assert digest.hexdigest() == (
         "b60f4e6beca4b1c9606b6c08dedc14791edc9ee718146a4478510fd740261463")
+
+
+def test_a_trial_searches_its_hole_path_once(monkeypatch):
+    # hole_binders, type_context and plug all read the one path
+    searched = []
+    search = contexts._hole_path
+
+    def counted(ctx):
+        searched.append(ctx)
+        return search(ctx)
+
+    monkeypatch.setattr(contexts, "_hole_path", counted)
+    for i in range(200):
+        soundness_trial(trial_seed(0, i))
+    assert len(searched) == 200
 
 
 def test_trial_line_formatting():

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from anthill import harness
+from anthill import harness, runtime
 from anthill.contexts import plug
-from anthill.generate import gen_typed_program
+from anthill.generate import BINDER_POOL, gen_native_expr, gen_typed_program
 from anthill.parser import parse_anthill, parse_upython
 from anthill.printer import print_upython
 from anthill.runtime import (
@@ -41,12 +41,15 @@ from anthill.upython import (
     UApp,
     UClass,
     UGet,
+    UHole,
     UInt,
     ULam,
     ULet,
+    UPyExpr,
     UVar,
     is_value,
     tag_subtype,
+    walk,
 )
 from anthill.translate import translate_program
 
@@ -54,6 +57,7 @@ from helpers import (
     HEAP_LABELS,
     build_diamond_heap,
     callable_with,
+    package_subclasses,
     rand_layered_heap,
     rand_tag,
     rand_value,
@@ -66,6 +70,7 @@ from oracles import (
     o_hasattrs,
     o_lookup,
     o_param_match,
+    o_substitute,
     tag_universe,
 )
 
@@ -217,6 +222,52 @@ def test_substitution_respects_binders():
         "y", UInt(2), UInt(2))
     assert substitute(ULet("x", UVar("x"), UVar("x")), {"x": UInt(3)}) == ULet(
         "x", UInt(3), UVar("x"))
+
+
+def _substitution_cases():
+    """(body, names) pairs: each lambda body of seed 7's first 300 fuzz
+    targets under its parameters, then 1,000 native expressions under a
+    drawn scope."""
+    config = harness.TrialConfig()
+    for i in range(300):
+        _, binders, term = harness.draw_trial(harness.trial_seed(7, i), config)
+        target, _, _ = harness.translate_into(binders, term)
+        for lam in walk(target):
+            if isinstance(lam, ULam):
+                yield lam.body, lam.params
+    rng = random.Random(1907)
+    for _ in range(1000):
+        scope = tuple(rng.sample(BINDER_POOL, rng.randint(0, 3)))
+        yield gen_native_expr(rng, scope, rng.randint(1, 5)), scope
+
+
+def _binders_in(e):
+    return {x for n in walk(e)
+            for x in (n.params if isinstance(n, ULam)
+                      else (n.name,) if isinstance(n, ULet) else ())}
+
+
+def test_substitution_agrees_with_the_oracle():
+    rng = random.Random(1908)
+    closed = (UInt(4), UAddr(0), ULam(("z",), UVar("z")), ULam((), UInt(1)))
+    cases = shadowing = 0
+    for body, names in _substitution_cases():
+        inner = _binders_in(body)
+        pool = sorted(set(names) | inner | {"q"})
+        bound = rng.sample(pool, rng.randint(0, len(pool)))
+        bindings = {x: rng.choice(closed) for x in bound}
+        assert substitute(body, bindings) == o_substitute(body, bindings)
+        cases += 1
+        shadowing += bool(inner & bindings.keys())
+    assert cases >= 2000 and shadowing >= 500, (cases, shadowing)
+
+
+def test_every_expression_class_but_the_hole_has_a_substitution_rule():
+    classes = package_subclasses(UPyExpr)
+    assert {"UVar", "UClass", "UHole"} <= {c.__name__ for c in classes}
+    assert classes - {UHole} == set(runtime._SUBST_RULES)
+    hole = UHole()
+    assert substitute(hole, {"x": UInt(1)}) is hole
 
 
 # ---------------------------------------------------------------------------

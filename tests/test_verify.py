@@ -394,6 +394,10 @@ def test_every_expression_class_but_the_hole_has_an_inference_rule():
         infer((), {}, UHole())
     assert err.value.rule == "expr"
     assert str(err.value) == "expr: not a typeable expression: HOLE"
-    # a non-node is refused by the printer that would name it in the error
-    with pytest.raises(TypeError, match="^not an expression: <object"):
+    # a non-node is named by its repr, and does not verify
+    with pytest.raises(TagError) as err:
         infer((), {}, object())
+    assert err.value.rule == "expr"
+    assert str(err.value).startswith("expr: not a typeable expression: "
+                                     "<object object at ")
+    assert not verifies((), {}, object(), PYOBJ)
