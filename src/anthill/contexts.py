@@ -16,14 +16,15 @@ from .upython import (
     Tag,
     UAddr,
     UApp,
+    UCheck,
     UClass,
     UGet,
     UHole,
+    UInt,
     ULam,
     ULet,
     UPyExpr,
     USet,
-    UVar,
     is_value,
     rebuild_path,
     walk,
@@ -129,17 +130,16 @@ def hole_binders(ctx: CodeContext) -> tuple[str, ...]:
 def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag]:
     """Type a one-hole context: given the environment and tag assumed at
     the hole, compute the environment and principal tag of the whole
-    context once plugged. Each node on the hole path is typed by infer,
-    its hole child standing for the unutterable variable $hole at the
-    tag computed so far. The hole environment must be the outer
+    context once plugged. The hole environment must be the outer
     environment extended, in path order, by the binders crossed on the
     way to the hole, and a let binder's assumed tag must bound its
-    let-bound expression's. Raises TagError when a premise fails."""
-    env, tag = tag_env(hole_env), hole_tag
-    hole = UVar("$hole")
-    # fold the hole's path outwards: (env, tag) is what the child at
-    # index i, the one holding the hole, was typed with and at
-    for node, kids, i in reversed(_path_of(ctx)):
+    let-bound expression's; those premises are checked and the binders
+    stripped on the way out. The context is then typed by infer with
+    check(0, hole_tag) in the hole, which has that tag in any
+    environment, so a let on the hole path binds its name at its bound
+    expression's own tag. Raises TagError when a premise fails."""
+    env = tag_env(hole_env)
+    for node, _, i in reversed(_path_of(ctx)):
         if isinstance(node, ULam):
             k = len(node.params)
             expected = tuple((x, PYOBJ) for x in node.params)
@@ -162,8 +162,4 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
                     "context",
                     f"let-bound expression has {print_tag(bound_tag)}, hole "
                     f"assumes {print_tag(assumed)}")
-            continue  # the let has its body's tag, and its bound is typed
-        kids = list(kids)
-        kids[i] = hole
-        tag = infer(env + ((hole.name, tag),), {}, node.rebuild(kids))
-    return env, tag
+    return env, infer(env, {}, plug(ctx, UCheck(UInt(0), hole_tag)))

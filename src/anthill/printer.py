@@ -15,7 +15,6 @@ from .core import (
     AttrTypes,
     Class,
     ClassDecl,
-    Constructor,
     Dyn,
     Fun,
     Function,
@@ -23,17 +22,15 @@ from .core import (
     Int,
     IntLit,
     Let,
-    Method,
     Object,
-    Openness,
     Set,
     Var,
 )
 from .upython import (
+    TRANSLATED,
     ClassTag,
     FunTag,
     IntTag,
-    Label,
     ObjTag,
     Pyobj,
     Tag,
@@ -54,9 +51,10 @@ from .upython import (
 # ---------------------------------------------------------------------------
 # source language
 
-
-def _openness(q: Openness) -> str:
-    return "open" if q is Openness.OPEN else "closed"
+# Each printer has one postfix rule, for call, get and set, which prints
+# its subject, in parentheses unless its form is postfix-safe, and a
+# call's arguments in its own frame: one frame per level of nesting.
+_ANTHILL_POSTFIX_SAFE = (Var, IntLit, App, Get)
 
 
 def _attr_types(attrs: AttrTypes) -> str:
@@ -74,18 +72,13 @@ def print_anthill_type(ty: AnthillType) -> str:
         params = ", ".join(map(print_anthill_type, ty.params))
         return f"({params}) -> {print_anthill_type(ty.ret)}"
     if isinstance(ty, Object):
-        return f"obj {ty.name} {_openness(ty.openness)} {_attr_types(ty.attrs)}"
+        return f"obj {ty.name} {ty.openness.value} {_attr_types(ty.attrs)}"
     if isinstance(ty, Class):
         ctor = ", ".join(map(print_anthill_type, ty.ctor_params))
-        return (f"class {ty.name} {_openness(ty.openness)} "
+        return (f"class {ty.name} {ty.openness.value} "
                 f"{_attr_types(ty.class_attrs)}"
                 f"{_attr_types(ty.instance_attrs)}({ctor})")
     raise TypeError(f"not a type: {ty!r}")
-
-
-def _anthill_subject(t: AnthillTerm) -> str:
-    s = print_anthill_term(t)
-    return s if isinstance(t, (Var, IntLit, App, Get)) else f"({s})"
 
 
 def _typed_params(params, *receiver) -> str:
@@ -104,41 +97,44 @@ def print_anthill_term(t: AnthillTerm) -> str:
     if isinstance(t, Fun):
         return (f"fun({_typed_params(t.params)}) -> "
                 f"{print_anthill_type(t.ret)}: {print_anthill_term(t.body)}")
-    if isinstance(t, App):
-        args = ", ".join(map(print_anthill_term, t.args))
-        return f"{_anthill_subject(t.fn)}({args})"
-    if isinstance(t, Get):
-        return f"{_anthill_subject(t.subject)}.{t.attr}"
-    if isinstance(t, Set):
-        return (f"{_anthill_subject(t.subject)}.{t.attr} = "
-                f"{print_anthill_term(t.value)}")
+    if isinstance(t, (App, Get, Set)):
+        subject = t.fn if isinstance(t, App) else t.subject
+        s = print_anthill_term(subject)
+        if not isinstance(subject, _ANTHILL_POSTFIX_SAFE):
+            s = f"({s})"
+        if isinstance(t, App):
+            args = []
+            for a in t.args:
+                args.append(print_anthill_term(a))
+            return f"{s}({', '.join(args)})"
+        if isinstance(t, Get):
+            return f"{s}.{t.attr}"
+        return f"{s}.{t.attr} = {print_anthill_term(t.value)}"
     if isinstance(t, ClassDecl):
-        supers = ", ".join(map(print_anthill_term, t.supers))
+        supers = []
+        for s in t.supers:
+            supers.append(print_anthill_term(s))
         members = []
         for m in t.methods:
-            members.append(f"{m.name} = {_method(m)}")
+            params = _typed_params(m.params, m.receiver)
+            members.append(f"{m.name} = meth({params}) -> "
+                           f"{print_anthill_type(m.ret)}: "
+                           f"{print_anthill_term(m.body)}")
         for label, value in t.fields:
             members.append(f"{label} = {print_anthill_term(value)}")
-        members.append(f"init = {_constructor(t.ctor)}")
-        body = "; ".join(members)
-        return (f"class {t.name}({supers}) [{_openness(t.openness)}; "
+        params = _typed_params(t.ctor.params, t.ctor.receiver)
+        members.append(f"init = ctor({params}): "
+                       f"{print_anthill_term(t.ctor.body)}")
+        return (f"class {t.name}({', '.join(supers)}) [{t.openness.value}; "
                 f"{_attr_types(t.class_attrs)}; "
-                f"{_attr_types(t.instance_attrs)}] {{ {body} }}")
+                f"{_attr_types(t.instance_attrs)}] {{ {'; '.join(members)} }}")
     raise TypeError(f"not a term: {t!r}")
-
-
-def _method(m: Method) -> str:
-    return (f"meth({_typed_params(m.params, m.receiver)}) -> "
-            f"{print_anthill_type(m.ret)}: {print_anthill_term(m.body)}")
-
-
-def _constructor(c: Constructor) -> str:
-    return (f"ctor({_typed_params(c.params, c.receiver)}): "
-            f"{print_anthill_term(c.body)}")
 
 
 # ---------------------------------------------------------------------------
 # target language
+
+_UPY_POSTFIX_SAFE = (UVar, UInt, UApp, UGet, UAddr, UCheck, UHole)
 
 
 def print_tag(s: Tag) -> str:
@@ -156,16 +152,6 @@ def print_tag(s: Tag) -> str:
     raise TypeError(f"not a tag: {s!r}")
 
 
-def _upy_subject(e: UPyExpr) -> str:
-    s = print_upython(e)
-    postfix_safe = (UVar, UInt, UApp, UGet, UAddr, UCheck, UHole)
-    return s if isinstance(e, postfix_safe) else f"({s})"
-
-
-def _bang(label: Label) -> str:
-    return "!" if label is Label.TRANSLATED else ""
-
-
 def print_upython(e: UPyExpr) -> str:
     if isinstance(e, UVar):
         return e.name
@@ -180,20 +166,30 @@ def print_upython(e: UPyExpr) -> str:
                 f"in {print_upython(e.body)}")
     if isinstance(e, ULam):
         return f"lambda({', '.join(e.params)}): {print_upython(e.body)}"
-    if isinstance(e, UApp):
-        args = ", ".join(map(print_upython, e.args))
-        return f"{_upy_subject(e.fn)}({args}){_bang(e.label)}"
-    if isinstance(e, UGet):
-        return f"{_upy_subject(e.subject)}.{e.attr}{_bang(e.label)}"
-    if isinstance(e, USet):
-        return (f"{_upy_subject(e.subject)}.{e.attr}{_bang(e.label)} = "
-                f"{print_upython(e.value)}")
+    if isinstance(e, (UApp, UGet, USet)):
+        subject = e.fn if isinstance(e, UApp) else e.subject
+        s = print_upython(subject)
+        if not isinstance(subject, _UPY_POSTFIX_SAFE):
+            s = f"({s})"
+        bang = "!" if e.label is TRANSLATED else ""
+        if isinstance(e, UApp):
+            args = []
+            for a in e.args:
+                args.append(print_upython(a))
+            return f"{s}({', '.join(args)}){bang}"
+        if isinstance(e, UGet):
+            return f"{s}.{e.attr}{bang}"
+        return f"{s}.{e.attr}{bang} = {print_upython(e.value)}"
     if isinstance(e, UCheck):
         return f"check({print_upython(e.subject)}, {print_tag(e.tag)})"
     if isinstance(e, UClass):
-        supers = ", ".join(map(print_upython, e.supers))
-        members = ", ".join(f"{label} = {print_upython(v)}"
-                            for label, v in e.members)
-        return (f"class{_bang(e.label)} {e.name}({supers}){{{members}}} "
-                f"init {print_upython(e.ctor)}")
+        supers = []
+        for s in e.supers:
+            supers.append(print_upython(s))
+        members = []
+        for label, v in e.members:
+            members.append(f"{label} = {print_upython(v)}")
+        bang = "!" if e.label is TRANSLATED else ""
+        return (f"class{bang} {e.name}({', '.join(supers)})"
+                f"{{{', '.join(members)}}} init {print_upython(e.ctor)}")
     raise TypeError(f"not an expression: {e!r}")

@@ -41,6 +41,7 @@ from .upython import (
     ClassTag,
     FunTag,
     ObjTag,
+    RuleError,
     RuleTable,
     UApp,
     UCheck,
@@ -57,15 +58,8 @@ from .upython import (
 TypeEnv = dict[str, AnthillType]
 
 
-class StaticTypeError(Exception):
-    """No translation rule applies. Carries the rule family that gave up,
-    a human-readable reason, and the offending subterm."""
-
-    def __init__(self, rule: str, detail: str, subterm=None) -> None:
-        self.rule = rule
-        self.detail = detail
-        self.subterm = subterm
-        super().__init__(f"{rule}: {detail}")
+class StaticTypeError(RuleError):
+    """No translation rule applies."""
 
 
 def translate_program(term: AnthillTerm) -> tuple[UPyExpr, AnthillType]:
@@ -130,7 +124,9 @@ def _fun(env: TypeEnv, t: Fun) -> tuple[UPyExpr, AnthillType]:
 
 def _app(env: TypeEnv, t: App) -> tuple[UPyExpr, AnthillType]:
     fn, fn_ty = _TERM_RULES[type(t.fn)](env, t.fn)
-    arg_pairs = [_TERM_RULES[type(a)](env, a) for a in t.args]
+    arg_pairs = []
+    for a in t.args:
+        arg_pairs.append(_TERM_RULES[type(a)](env, a))
     args = tuple(e for e, _ in arg_pairs)
 
     if isinstance(fn_ty, Dyn):

@@ -63,6 +63,16 @@ class RuleTable(dict):
         return self.missing
 
 
+class RuleError(Exception):
+    """A rule gave up: its family, a reason and the offending subterm."""
+
+    def __init__(self, rule: str, detail: str, subterm=None) -> None:
+        self.rule = rule
+        self.detail = detail
+        self.subterm = subterm
+        super().__init__(f"{rule}: {detail}")
+
+
 class Label(enum.Enum):
     NATIVE = "native"
     TRANSLATED = "translated"

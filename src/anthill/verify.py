@@ -18,6 +18,7 @@ from .upython import (
     FunTag,
     ObjTag,
     Pyobj,
+    RuleError,
     RuleTable,
     Tag,
     UAddr,
@@ -41,15 +42,8 @@ TagEnv = tuple[tuple[str, Tag], ...]
 HeapType = dict[int, Tag]
 
 
-class TagError(Exception):
-    """Inference failed: some premise of the only applicable rule does
-    not hold."""
-
-    def __init__(self, rule: str, detail: str, subterm=None) -> None:
-        self.rule = rule
-        self.detail = detail
-        self.subterm = subterm
-        super().__init__(f"{rule}: {detail}")
+class TagError(RuleError):
+    """Inference failed: a premise of the only applicable rule fails."""
 
 
 def tag_env(bindings=()) -> TagEnv:

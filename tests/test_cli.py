@@ -431,12 +431,22 @@ def test_overlong_number_is_a_parse_error(tmp_path, capsys, argv, name,
 
 
 def test_translate_prints_deeply_nested_calls(tmp_path, capsys):
-    calls = _write(tmp_path, "calls.ant",
-                   "(fun(x: int) -> int: x)(" * 300 + "0" + ")" * 300)
-    assert main(["translate", calls]) == 0
-    assert capsys.readouterr().out == (
-        "check((lambda(x): let x = check(x, int) in x)(" * 300 + "0"
-        + ")!, int)" * 300 + "\n")
+    for n in (300, 400):
+        calls = _write(tmp_path, "calls.ant",
+                       "(fun(x: int) -> int: x)(" * n + "0" + ")" * n)
+        assert main(["translate", calls]) == 0
+        assert capsys.readouterr().out == (
+            "check((lambda(x): let x = check(x, int) in x)(" * n + "0"
+            + ")!, int)" * n + "\n")
+
+
+@pytest.mark.parametrize("postfix", [".a", "(1)"], ids=["get", "call"])
+def test_run_prints_a_lambda_over_a_deep_postfix_chain(tmp_path, capsys,
+                                                       postfix):
+    text = "lambda(x): x" + postfix * 600
+    chain = _write(tmp_path, "chain.upy", text)
+    assert main(["run", chain]) == 0
+    assert capsys.readouterr().out == text + "\n"
 
 
 def test_check_prints_a_deeply_nested_function_type(tmp_path, capsys):

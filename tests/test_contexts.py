@@ -23,6 +23,7 @@ from anthill.upython import (
     FunTag,
     IntTag,
     Pyobj,
+    UCheck,
     UClass,
     UHole,
     UInt,
@@ -247,6 +248,22 @@ def test_let_bound_hole_types_the_body_under_the_hole_tag():
     assert type_context(c, (), FunTag(2)) == ((), PYOBJ)
     with pytest.raises(TagError):
         type_context(c, (), FunTag(1))  # arity disagrees with the call
+
+
+def test_a_failing_premise_at_the_hole_names_the_stand_in_check():
+    # the context is typed with check(0, hole tag) in the hole
+    with pytest.raises(TagError) as err:
+        type_context(ctx("HOLE(1)!"), (), INT_TAG)
+    assert str(err.value) == "app: needs fun[1], subexpression has int"
+    assert err.value.subterm == UCheck(UInt(0), INT_TAG)
+
+
+def test_context_tag_is_the_plugged_programs_principal_tag():
+    # the hole assumes f at pyobj; the plugged program binds it to an
+    # int, and its result reads f
+    c = ctx("let f = 5 in let x = HOLE in f")
+    assert type_context(c, (("f", PYOBJ),), FunTag(0)) == ((), INT_TAG)
+    assert infer((), {}, plug(c, ULam((), UInt(0)))) == INT_TAG
 
 
 def test_elimination_contexts_type_their_siblings():

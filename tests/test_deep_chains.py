@@ -5,15 +5,20 @@ Translation, inference and substitution take one through their rule
 tables, whichever slot the chain goes through: a subexpression that
 inference demands at pyobj is typed by its own rule, called straight,
 and a list of children is substituted by a loop in the rule's frame.
-Check erasure and the interpreter take none: a check chain 5,000 deep
-erases, and a redex under 5,000 frames steps and runs."""
+Both printers take one through any child slot of a target expression,
+and through a source let body, get, callee and call argument: each
+has one postfix rule that prints its subject, and a call's arguments
+in a loop, in its own frame. Check erasure and the interpreter take
+none: a check chain 5,000 deep erases, and a redex under 5,000 frames
+steps and runs."""
 
 import dataclasses
 
 import pytest
 
 from anthill.contexts import plug, validate_context
-from anthill.core import DYN, Get, IntLit, Let, Var
+from anthill.core import DYN, App, Get, IntLit, Let, Var
+from anthill.printer import print_anthill_term, print_upython
 from anthill.runtime import ClassH, Heap, ObjH, Stepped, Value, run, step, \
     substitute
 from anthill.upython import PYOBJ, UAddr, UApp, UCheck, UClass, UGet, UHole, \
@@ -85,6 +90,8 @@ MULTI_CHILD_POSITIONS = {
     "call-argument": lambda e, x: UApp(x, (x, e)),
     "set-value": lambda e, x: USet(x, "m", e),
     "class-member": lambda e, x: UClass("C", (), (("m", e),), x),
+    "set-subject": lambda e, x: USet(e, "m", x),
+    "class-super": lambda e, x: UClass("C", (e,), (), x),
 }
 
 
@@ -110,11 +117,60 @@ def test_deep_chains_infer_through_a_second_child(position):
                     PYOBJ)
 
 
-@pytest.mark.parametrize("wrap", [lambda t: Let("y", IntLit(1), t),
-                                  lambda t: Get(t, "m")],
-                         ids=["let-body", "get"])
-def test_deep_chains_translate(wrap):
-    assert translate_term({"x": DYN}, _chain(wrap, Var("x")))[1] == DYN
+# source forms by the slot the chain goes through
+ANTHILL_FORMS = {
+    "let-body": lambda t: Let("y", IntLit(1), t),
+    "get": lambda t: Get(t, "m"),
+    "call-callee": lambda t: App(t, (IntLit(1),)),
+    "call-argument": lambda t: App(Var("x"), (IntLit(1), t)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(ANTHILL_FORMS))
+def test_deep_chains_translate(form):
+    chain = _chain(ANTHILL_FORMS[form], Var("x"))
+    assert translate_term({"x": DYN}, chain)[1] == DYN
+
+
+# each form's printed text around its chained child's, 1 filling the
+# other slots of a form with more than one child
+PRINTED = {
+    "get": "{}.m", "check": "check({}, pyobj)",
+    "lambda-body": "lambda(y): {}", "let-body": "let y = 1 in {}",
+    "call-callee": "{}(1)", "call-argument": "1(1, {})",
+    "set-value": "1.m = {}", "class-member": "class C(){{m = {}}} init 1",
+    "set-subject": "({}).m = 1", "class-super": "class C({}){{}} init 1",
+}
+ANTHILL_PRINTED = {"let-body": "let y = 1 in {}", "get": "{}.m",
+                   "call-callee": "{}(1)", "call-argument": "x(1, {})"}
+
+
+def _printed(fmt, first):
+    # the text of a DEPTH-deep chain whose innermost level prints first
+    text = first
+    for _ in range(DEPTH - 1):
+        text = fmt.format(text)
+    return text
+
+
+@pytest.mark.parametrize("form", sorted(PRINTED))
+def test_deep_chains_print(form):
+    def wrap(e):
+        if form in SINGLE_CHILD_FORMS:
+            return SINGLE_CHILD_FORMS[form](e)
+        return MULTI_CHILD_POSITIONS[form](e, UInt(1))
+
+    first = print_upython(wrap(UInt(5)))
+    assert print_upython(_chain(wrap, UInt(5))) == \
+        _printed(PRINTED[form], first)
+
+
+@pytest.mark.parametrize("form", sorted(ANTHILL_PRINTED))
+def test_deep_chains_print_anthill(form):
+    wrap = ANTHILL_FORMS[form]
+    first = print_anthill_term(wrap(Var("x")))
+    assert print_anthill_term(_chain(wrap, Var("x"))) == \
+        _printed(ANTHILL_PRINTED[form], first)
 
 
 REDEX_DEPTH = 5000

@@ -401,3 +401,15 @@ def test_every_expression_class_but_the_hole_has_an_inference_rule():
     assert str(err.value).startswith("expr: not a typeable expression: "
                                      "<object object at ")
     assert not verifies((), {}, object(), PYOBJ)
+
+
+def test_tag_and_static_type_errors_share_one_rule_error():
+    from anthill.translate import StaticTypeError
+    from anthill.upython import RuleError
+    for cls in (TagError, StaticTypeError):
+        exc = cls("r", "a reason", UInt(1))
+        assert isinstance(exc, RuleError) and str(exc) == "r: a reason"
+        assert (exc.rule, exc.detail, exc.subterm) == ("r", "a reason",
+                                                       UInt(1))
+    assert not issubclass(TagError, StaticTypeError)
+    assert not issubclass(StaticTypeError, TagError)
