@@ -289,12 +289,15 @@ def test_usage_errors(argv, capsys):
     ["run", "programs/point.ant", "--budget", "-1"],
     ["embed", "--typed", "programs/typed_call_lib.ant",
      "--context", "programs/bad_call_context.upy", "--budget", "-1"],
+    ["fuzz", "--trials", "x"],
 ])
 def test_negative_counts_are_usage_errors(argv, capsys):
     assert main(argv) == ExitStatus.USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "expected a non-negative integer, got '-" in captured.err
+    option, text = argv[-2:]
+    assert f"argument {option}: expected a non-negative integer, " \
+        f"got {text!r}" in captured.err
 
 
 def test_zero_counts_are_accepted(capsys):

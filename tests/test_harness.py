@@ -2,6 +2,7 @@
 and trials composed from the two stages with one of them swapped."""
 
 import hashlib
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from anthill import contexts, harness
 from anthill.cli import ExitStatus, main
+from anthill.contexts import hole_binders, plug
 from anthill.harness import (
     SEED_STRIDE,
     FuzzReport,
@@ -24,15 +26,17 @@ from anthill.harness import (
     write_reproducer,
 )
 from anthill.core import INT, Function
+from anthill.generate import gen_typed_program
 from anthill.parser import parse_anthill, parse_upython
-from anthill.printer import print_upython
-from anthill.runtime import Heap, PyError, Value
+from anthill.runtime import Heap, PyError, Value, run
+from anthill.translate import translate_program
 from anthill.upython import TRANSLATED, UAddr, UApp, UCheck, UGet, UInt, \
     erase_checks
 from anthill.verify import verifies
 
 SMALL = TrialConfig(term_depth=3, ctx_depth=3, budget=2_000)
 GOLDEN = Path(__file__).parent / "golden"
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def test_trial_seed_stride():
@@ -54,8 +58,11 @@ def test_soundness_trial_is_deterministic():
         assert first == second
 
 
-def test_small_batch_has_no_violations():
-    report = run_trials(300, base_seed=1, config=SMALL)
+@pytest.mark.parametrize("term_depth, ctx_depth",
+                         [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_small_batch_has_no_violations(term_depth, ctx_depth):
+    config = replace(SMALL, term_depth=term_depth, ctx_depth=ctx_depth)
+    report = run_trials(300, base_seed=1, config=config)
     assert len(report.trials) == 300
     assert report.violations == ()
     seen = {t.outcome for t in report.trials}
@@ -251,27 +258,77 @@ def _drawn(count: int):
     return (draw_trial(trial_seed(0, i), DEFAULT) for i in range(count))
 
 
+def _traced(program, budget):
+    """The run's outcome and the rule of every step it took."""
+    rules = []
+    outcome = run(program, budget=budget,
+                  on_step=lambda steps, rule, cells: rules.append(rule))
+    return outcome, rules
+
+
+def _erasure_simulates(checked_program, erased_program, budget):
+    """Run both programs and assert that the erased one makes the
+    checked one's moves less its ECheck1 steps, up to the first failing
+    check; return the erased run's outcome kind."""
+    checked, checked_rules = _traced(checked_program, budget)
+    erased, erased_rules = _traced(erased_program, budget)
+    moves = [r for r in checked_rules if r != "ECheck1"]
+    erased_moves = [r for r in erased_rules if r != "ECheck1"]
+    if checked.kind == "casterror":
+        assert erased_moves[:len(moves)] == moves
+    elif checked.kind == "timeout":
+        shorter = min(len(moves), len(erased_moves))
+        assert erased_moves[:shorter] == moves[:shorter]
+    else:
+        assert erased.kind == checked.kind
+        assert erased_moves == moves
+        if checked.kind == "value":
+            assert erase_checks(erased.value) == erase_checks(checked.value)
+        else:
+            assert erased.rule == checked.rule
+    return erased.kind
+
+
+def _program(path: Path):
+    """A runnable file of programs/, an .ant file translated."""
+    if path.suffix == ".ant":
+        return translate_program(parse_anthill(path.read_text()))[0]
+    return parse_upython(path.read_text())
+
+
 def test_erasing_the_checks_keeps_values_and_native_errors():
-    # erasure as a swapped stage: a transient check returns its subject
-    # unchanged or fails, so without the term's checks a run keeps its
-    # value or native error, and a run a check stopped may go on to blame
+    # the erasure simulation theorem: a transient check returns its
+    # subject unchanged or fails, so without the term's checks a run
+    # takes the same steps less its ECheck1 steps, and ends the same way
+    # unless a check failed; a run a check stopped may go on to blame
     # translated code, which is what the checks are there to prevent
     translated_errors = 0
-    for ctx, binders, term in _drawn(300):
+    for ctx, binders, term in _drawn(2_000):
         target, hole_env, hole_tag = translate_into(binders, term)
-        checked, detail = judge(ctx, target, hole_env, hole_tag,
-                                DEFAULT.budget)
-        erased, _ = judge(ctx, erase_checks(target), hole_env, hole_tag,
-                          DEFAULT.budget)
-        assert detail == ""
-        if checked.kind == "value":
-            assert erased.kind == "value"
-            assert print_upython(erase_checks(erased.value)) == \
-                print_upython(erase_checks(checked.value))
-        elif checked.kind == "native-error":
-            assert erased.kind == "native-error"
-        translated_errors += erased.kind == "translated-error"
+        assert judge(ctx, target, hole_env, hole_tag,
+                     DEFAULT.budget)[1] == ""
+        translated_errors += _erasure_simulates(
+            plug(ctx, target), plug(ctx, erase_checks(target)),
+            DEFAULT.budget) == "translated-error"
     assert translated_errors > 0
+
+    for path in sorted(PROGRAMS.iterdir()):
+        if path.name.endswith("_context.upy"):
+            continue
+        program = _program(path)
+        _erasure_simulates(program, erase_checks(program), DEFAULT.budget)
+    library = parse_anthill((PROGRAMS / "typed_call_lib.ant").read_text())
+    for name in ("call_context.upy", "bad_call_context.upy"):
+        ctx = parse_upython((PROGRAMS / name).read_text(), allow_hole=True)
+        target, _, _ = translate_into(hole_binders(ctx), library)
+        _erasure_simulates(plug(ctx, target), plug(ctx, erase_checks(target)),
+                           DEFAULT.budget)
+
+    rng = random.Random(1)
+    for depth in range(5, 12):
+        for _ in range(15):
+            target, _ = translate_program(gen_typed_program(rng, depth)[0])
+            _erasure_simulates(target, erase_checks(target), DEFAULT.budget)
 
 
 def _without_checks_on(kind):
