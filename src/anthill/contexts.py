@@ -42,7 +42,7 @@ class ContextError(ValueError):
 
 
 def count_holes(e: UPyExpr) -> int:
-    return sum(isinstance(n, UHole) for n in walk(e))
+    return list(map(type, walk(e))).count(UHole)
 
 
 def validate_context(ctx: CodeContext) -> None:
@@ -54,7 +54,7 @@ def validate_context(ctx: CodeContext) -> None:
         e = stack.pop()
         nodes.append(e)
         stack.extend(reversed(e.children()))
-    n = sum(isinstance(e, UHole) for e in nodes)
+    n = list(map(type, nodes)).count(UHole)
     if n != 1:
         raise ContextError(f"context must have exactly one hole, found {n}")
     for e in nodes:
@@ -65,7 +65,7 @@ def validate_context(ctx: CodeContext) -> None:
             raise ContextError(f"context contains a translated-label {form}")
         if (form == "class"
                 and not all(map(is_value, e.supers))
-                and any(count_holes(m) for _, m in e.members)):
+                and any(map(count_holes, dict(e.members).values()))):
             raise ContextError(
                 "a class whose member holds the hole must have value "
                 "superclasses")
@@ -75,26 +75,25 @@ def plug(ctx: CodeContext, e: UPyExpr) -> UPyExpr:
     """Replace the hole with e, verbatim. ctx must be a valid context,
     as validate_context checks and both callers ensure; one with no hole
     raises TagError. Only the nodes on the path to the hole are rebuilt."""
-    return rebuild_path([(node, list(kids), i)
-                         for node, kids, i in _path_of(ctx)], e)
+    return rebuild_path(_path_of(ctx), e)
 
 
 def _hole_path(ctx: CodeContext) -> tuple[tuple[UPyExpr, tuple, int], ...]:
     """The interpreter's (node, kids, slot) frames from ctx down to its
     first hole in evaluation order, found without recursion: one [node,
-    children, next slot] frame per node on the current path. kids is
+    children, slot searched] frame per node on the current path. kids is
     node's children tuple; a consumer that fills the slot copies it."""
-    path = [[None, (ctx,), 0]]
+    path = [[None, (ctx,), -1]]
     while path:
         frame = path[-1]
+        frame[2] += 1
         _, kids, i = frame
         if i == len(kids):
             path.pop()
             continue
-        frame[2] = i + 1
         if isinstance(kids[i], UHole):
-            return tuple((node, kids, j - 1) for node, kids, j in path[1:])
-        path.append([kids[i], kids[i].children(), 0])
+            return tuple(map(tuple, path[1:]))
+        path.append([kids[i], kids[i].children(), -1])
     raise TagError("context", f"no hole beneath {print_upython(ctx)}", ctx)
 
 
@@ -142,7 +141,7 @@ def type_context(ctx: CodeContext, hole_env, hole_tag: Tag) -> tuple[TagEnv, Tag
     for node, _, i in reversed(_path_of(ctx)):
         if isinstance(node, ULam):
             k = len(node.params)
-            expected = tuple((x, PYOBJ) for x in node.params)
+            expected = tuple(zip(node.params, (PYOBJ,) * k))
             if k and env[-k:] != expected:
                 raise TagError(
                     "context",

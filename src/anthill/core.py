@@ -9,8 +9,9 @@ accesses are allowed to defer to runtime checks.
 from __future__ import annotations
 
 import enum
+from operator import attrgetter, itemgetter
 
-from .upython import INT_TAG, PYOBJ, ClassTag, FunTag, ObjTag, Tag, node
+from .upython import FUN_TAGS, INT_TAG, PYOBJ, ClassTag, ObjTag, Tag, node
 
 
 class Openness(enum.Enum):
@@ -36,7 +37,9 @@ class AttrTypes:
     __slots__ = ("entries", "_map")
 
     def __init__(self, entries=()) -> None:
-        entries = tuple([(str(l), t) for l, t in entries])
+        entries = tuple(entries)
+        if not all(map(str.__instancecheck__, map(itemgetter(0), entries))):
+            entries = tuple([(str(l), t) for l, t in entries])
         mapping = dict(entries)
         if len(mapping) < len(entries):
             seen = set()
@@ -209,7 +212,8 @@ class ClassDecl(AnthillTerm):
 
     def __post_init__(self) -> None:
         seen = set()
-        for lbl in [m.name for m in self.methods] + [l for l, _ in self.fields]:
+        for lbl in (*map(attrgetter("name"), self.methods),
+                    *map(itemgetter(0), self.fields)):
             if lbl in seen:
                 raise ValueError(f"duplicate member label {lbl!r}")
             seen.add(lbl)
@@ -217,7 +221,7 @@ class ClassDecl(AnthillTerm):
     def declared_type(self) -> Class:
         return Class(self.name, self.openness, self.class_attrs,
                      self.instance_attrs,
-                     tuple(t for _, t in self.ctor.params))
+                     tuple(map(itemgetter(1), self.ctor.params)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,7 @@ def consistent(a: AnthillType, b: AnthillType) -> bool:
         return True
     if isinstance(a, Function) and isinstance(b, Function):
         return (len(a.params) == len(b.params)
-                and all(consistent(p, q) for p, q in zip(a.params, b.params))
+                and all(map(consistent, a.params, b.params))
                 and consistent(a.ret, b.ret))
     if isinstance(a, Object) and isinstance(b, Object):
         return _attrs_consistent(a.attrs, b.attrs)
@@ -242,18 +246,25 @@ def consistent(a: AnthillType, b: AnthillType) -> bool:
         return (_attrs_consistent(a.class_attrs, b.class_attrs)
                 and _attrs_consistent(a.instance_attrs, b.instance_attrs)
                 and len(a.ctor_params) == len(b.ctor_params)
-                and all(consistent(p, q)
-                        for p, q in zip(a.ctor_params, b.ctor_params)))
+                and all(map(consistent, a.ctor_params, b.ctor_params)))
     return False
 
 
 def _attrs_consistent(d1: AttrTypes, d2: AttrTypes) -> bool:
-    return all(consistent(t, d2[l]) for l, t in d1.items() if l in d2)
+    m2 = d2._map
+    for l, t in d1.entries:
+        if l in m2 and not consistent(t, m2[l]):
+            return False
+    return True
 
 
 def _attrs_subtype_consistent(d1: AttrTypes, d2: AttrTypes) -> bool:
     # width: every target label present in the source, members consistent
-    return all(l in d1 and consistent(d1[l], t) for l, t in d2.items())
+    m1 = d1._map
+    for l, t in d2.entries:
+        if l not in m1 or not consistent(m1[l], t):
+            return False
+    return True
 
 
 def subtype_consistent(a: AnthillType, b: AnthillType) -> bool:
@@ -266,8 +277,7 @@ def subtype_consistent(a: AnthillType, b: AnthillType) -> bool:
         return True
     if isinstance(a, Function) and isinstance(b, Function):
         return (len(a.params) == len(b.params)
-                and all(subtype_consistent(q, p)
-                        for p, q in zip(a.params, b.params))
+                and all(map(subtype_consistent, b.params, a.params))
                 and subtype_consistent(a.ret, b.ret))
     if isinstance(a, Object) and isinstance(b, Object):
         return _attrs_subtype_consistent(a.attrs, b.attrs)
@@ -275,8 +285,8 @@ def subtype_consistent(a: AnthillType, b: AnthillType) -> bool:
         return (_attrs_subtype_consistent(a.class_attrs, b.class_attrs)
                 and _attrs_subtype_consistent(a.instance_attrs, b.instance_attrs)
                 and len(a.ctor_params) == len(b.ctor_params)
-                and all(subtype_consistent(q, p)
-                        for p, q in zip(a.ctor_params, b.ctor_params)))
+                and all(map(subtype_consistent,
+                            b.ctor_params, a.ctor_params)))
     if isinstance(a, Class) and isinstance(b, Object):
         return _attrs_subtype_consistent(a.class_attrs, b.attrs)
     if isinstance(a, Class) and isinstance(b, Function):
@@ -329,9 +339,11 @@ def inst_fun(a: AnthillType) -> AnthillType:
 
 
 def instantiate(class_attrs: AttrTypes, instance_attrs: AttrTypes) -> AttrTypes:
-    entries = [(l, inst_fun(t)) for l, t in class_attrs.items()]
-    entries += [(l, t) for l, t in instance_attrs.items()
-                if l not in class_attrs]
+    own = class_attrs._map
+    entries = list(zip(own, map(inst_fun, own.values())))
+    for entry in instance_attrs.entries:
+        if entry[0] not in own:
+            entries.append(entry)
     return AttrTypes(entries)
 
 
@@ -342,9 +354,9 @@ def tag_of(a: AnthillType) -> Tag:
     if isinstance(a, Int):
         return INT_TAG
     if isinstance(a, Function):
-        return FunTag(len(a.params))
+        return FUN_TAGS[len(a.params)]
     if isinstance(a, Object):
-        return ObjTag(a.attrs.names())
+        return ObjTag(a.attrs._map)
     if isinstance(a, Class):
-        return ClassTag(a.class_attrs.names(), len(a.ctor_params))
+        return ClassTag(a.class_attrs._map, len(a.ctor_params))
     raise TypeError(f"not a type: {a!r}")

@@ -5,7 +5,8 @@ explicit random.Random so runs are reproducible from a seed. Draws use
 only its random() and getrandbits(): randint, choice, sample and
 randrange are CPython's code replayed from getrandbits, so a seed's
 programs are random.Random's, stay so whatever the interpreter's
-version of those methods, and cost two Python calls a draw, not three.
+version of those methods, and cost two Python calls a draw, not three;
+a randint(a, b) is written out as a + _below(rng, b - a + 1).
 
 * gen_typed_term builds source terms that inhabit a requested type
   exactly, so the translator accepts everything it produces. Exactness
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, filterfalse, islice, repeat
 
 from .core import (
     OPEN,
@@ -50,9 +51,9 @@ from .core import (
     instance_type,
 )
 from .upython import (
+    FUN_TAGS,
     NATIVE,
     ClassTag,
-    FunTag,
     ObjTag,
     Tag,
     UApp,
@@ -102,11 +103,6 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _randint(rng: random.Random, a: int, b: int) -> int:
-    """random.Random.randint(a, b), replayed."""
-    return a + _below(rng, b - a + 1)
-
-
 def _choice(rng: random.Random, seq):
     """random.Random.choice(seq), replayed."""
     return seq[_below(rng, len(seq))]
@@ -140,27 +136,25 @@ def gen_type(rng: random.Random, depth: int) -> AnthillType:
         return DYN
     if kind == "int":
         return INT
+    # zip and islice check for a label or the count before each draw
+    types = map(gen_type, repeat(rng), repeat(depth - 1))
     if kind == "fun":
-        params = tuple(gen_type(rng, depth - 1)
-                       for _ in range(_randint(rng, 0, MAX_ARGS)))
+        params = tuple(islice(types, _below(rng, MAX_ARGS + 1)))
         return Function(params, gen_type(rng, depth - 1))
     if kind == "obj":
-        labels = _sample(rng, LABEL_POOL, _randint(rng, 0, MAX_ATTRS))
-        entries = [(l, gen_type(rng, depth - 1)) for l in labels]
-        return Object(_choice(rng, TYPE_NAME_POOL), _openness(rng),
-                      AttrTypes(entries))
+        labels = _sample(rng, LABEL_POOL, _below(rng, MAX_ATTRS + 1))
+        entries = AttrTypes(zip(labels, types))
+        return Object(_choice(rng, TYPE_NAME_POOL), _openness(rng), entries)
     # class: keep declared class members and instance members disjoint so
     # constructed objects carry the values their declared types promise
     total = _sample(rng, LABEL_POOL,
-                    _randint(rng, 0, min(len(LABEL_POOL), 2 * MAX_ATTRS)))
-    split = _randint(rng, 0, len(total))
-    class_entries = [(l, gen_type(rng, depth - 1)) for l in total[:split]]
-    inst_entries = [(l, gen_type(rng, depth - 1)) for l in total[split:]]
-    ctor_params = tuple(gen_type(rng, depth - 1)
-                        for _ in range(_randint(rng, 0, MAX_ARGS)))
+                    _below(rng, min(len(LABEL_POOL), 2 * MAX_ATTRS) + 1))
+    split = _below(rng, len(total) + 1)
+    class_entries = AttrTypes(zip(total[:split], types))
+    inst_entries = AttrTypes(zip(total[split:], types))
+    ctor_params = tuple(islice(types, _below(rng, MAX_ARGS + 1)))
     return Class(_choice(rng, TYPE_NAME_POOL), _openness(rng),
-                 AttrTypes(class_entries), AttrTypes(inst_entries),
-                 ctor_params)
+                 class_entries, inst_entries, ctor_params)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +173,18 @@ def _members(entries, cls: Class, sub) -> tuple[tuple, tuple]:
     methods, fields = [], []
     for label, ty in entries:
         if _has_receiver(ty):
-            params = tuple((f"v{i}", p) for i, p in enumerate(ty.params[1:]))
+            params = _named("v", ty.params[1:])
             scope = {"self": instance_type(cls), **dict(params)}
             methods.append(Method(label, "self", params, ty.ret,
                                   sub(scope, ty.ret)))
         else:
             fields.append((label, sub({}, ty)))
     return tuple(methods), tuple(fields)
+
+
+def _named(prefix: str, types) -> tuple[tuple[str, AnthillType], ...]:
+    """types as parameters named prefix0, prefix1, …"""
+    return tuple(zip(map((prefix + "{}").format, range(len(types))), types))
 
 
 def _ctor(params, assigns) -> Constructor:
@@ -201,10 +200,10 @@ def _constructor(goal: Class, sub) -> Constructor:
     """A constructor taking goal's constructor parameters. Each instance
     attribute comes from the first parameter of its type, or else from
     sub(scope, type)."""
-    params = tuple((f"a{i}", ty) for i, ty in enumerate(goal.ctor_params))
+    params = _named("a", goal.ctor_params)
     scope = {"self": DYN, **dict(params)}
     assigns = []
-    for label, ty in goal.instance_attrs.items():
+    for label, ty in goal.instance_attrs.entries:
         source = next((Var(name) for name, pty in params if pty == ty), None)
         assigns.append((label, sub(scope, ty) if source is None else source))
     return _ctor(params, assigns)
@@ -213,9 +212,9 @@ def _constructor(goal: Class, sub) -> Constructor:
 def _installer(prefix: str, entries) -> Constructor:
     """A constructor with one parameter per attribute, prefix0, prefix1,
     …, that sets each attribute from its own parameter."""
-    params = tuple((f"{prefix}{i}", ty) for i, (_, ty) in enumerate(entries))
-    return _ctor(params, [(label, Var(name))
-                          for (label, _), (name, _) in zip(entries, params)])
+    labels = dict(entries)
+    params = _named(prefix, labels.values())
+    return _ctor(params, tuple(zip(labels, map(Var, dict(params)))))
 
 
 def _leaf_object(goal: Object, rng: random.Random) -> AnthillTerm:
@@ -223,13 +222,13 @@ def _leaf_object(goal: Object, rng: random.Random) -> AnthillTerm:
     entries = goal.attrs.entries
     cls = ClassDecl(goal.name, goal.openness, AttrTypes(()), goal.attrs,
                     (), (), (), _installer("v", entries))
-    return App(cls, tuple(leaf_term(rng, ty) for _, ty in entries))
+    return App(cls, tuple(map(leaf_term, repeat(rng), dict(entries).values())))
 
 
 def _leaf_class(goal: Class, rng: random.Random) -> AnthillTerm:
     def sub(scope, ty):
         return leaf_term(rng, ty)
-    methods, fields = _members(goal.class_attrs.items(), goal, sub)
+    methods, fields = _members(goal.class_attrs.entries, goal, sub)
     return ClassDecl(goal.name, goal.openness, goal.class_attrs,
                      goal.instance_attrs, (), methods, fields,
                      _constructor(goal, sub))
@@ -239,15 +238,15 @@ def leaf_term(rng: random.Random, goal: AnthillType) -> AnthillTerm:
     """A closed term of exactly the goal type, with no further recursion."""
     if isinstance(goal, Dyn):
         return App(Fun((("z", DYN),), DYN, Var("z")),
-                   (IntLit(_randint(rng, 0, 9)),))
+                   (IntLit(_below(rng, 10)),))
     if isinstance(goal, Function):
-        params = tuple((f"v{i}", ty) for i, ty in enumerate(goal.params))
-        return Fun(params, goal.ret, leaf_term(rng, goal.ret))
+        return Fun(_named("v", goal.params), goal.ret,
+                   leaf_term(rng, goal.ret))
     if isinstance(goal, Object):
         return _leaf_object(goal, rng)
     if isinstance(goal, Class):
         return _leaf_class(goal, rng)
-    return IntLit(_randint(rng, 0, 9))
+    return IntLit(_below(rng, 10))
 
 
 TypeEnv = dict[str, AnthillType]
@@ -274,8 +273,10 @@ def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
                    depth: int) -> AnthillTerm:
     """A term of exactly the goal type under env, recursion-bounded."""
     goal_class = type(goal)
-    candidates = [name for name, ty in env.items()
-                  if type(ty) is goal_class and ty == goal]
+    candidates = []
+    for name, ty in env.items():
+        if ty is goal or type(ty) is goal_class and ty == goal:
+            candidates.append(name)
     if depth <= 0:
         if candidates and rng.random() < 0.5:
             return Var(_choice(rng, candidates))
@@ -294,22 +295,23 @@ def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
         body = gen_typed_term(rng, {**env, name: bound_ty}, goal, depth - 1)
         return Let(name, bound, body)
     if kind == "app_fun":
-        arg_tys = tuple(gen_type(rng, depth - 1)
-                        for _ in range(_randint(rng, 0, MAX_ARGS)))
+        arg_tys = tuple(map(gen_type, repeat(rng, _below(rng, MAX_ARGS + 1)),
+                            repeat(depth - 1)))
         fn = gen_typed_term(rng, env, Function(arg_tys, goal), depth - 1)
-        args = tuple(gen_typed_term(rng, env, ty, depth - 1)
-                     for ty in arg_tys)
-        return App(fn, args)
+        args = map(gen_typed_term, repeat(rng), repeat(env), arg_tys,
+                   repeat(depth - 1))
+        return App(fn, tuple(args))
     if kind == "app_dyn":
         fn = gen_typed_term(rng, env, DYN, depth - 1)
-        args = tuple(gen_typed_term(rng, env, gen_type(rng, depth - 1),
-                                    depth - 1)
-                     for _ in range(_randint(rng, 0, MAX_ARGS)))
-        return App(fn, args)
+        args = []
+        for _ in range(_below(rng, MAX_ARGS + 1)):
+            args.append(gen_typed_term(rng, env, gen_type(rng, depth - 1),
+                                       depth - 1))
+        return App(fn, tuple(args))
     if kind == "get":
         label = _choice(rng, LABEL_POOL)
         entries = [(label, goal)]
-        extra = _choice(rng, [l for l in LABEL_POOL if l != label])
+        extra = _choice(rng, tuple(filterfalse(label.__eq__, LABEL_POOL)))
         if rng.random() < 0.4:
             entries.append((extra, gen_type(rng, depth - 1)))
         subject_ty = Object(_choice(rng, TYPE_NAME_POOL), _openness(rng),
@@ -335,7 +337,7 @@ def gen_typed_term(rng: random.Random, env: TypeEnv, goal: AnthillType,
     if kind == "fun":
         names = _sample(rng, BINDER_POOL, len(goal.params)) \
             if len(goal.params) <= len(BINDER_POOL) \
-            else [f"v{i}" for i in range(len(goal.params))]
+            else map("v{}".format, range(len(goal.params)))
         params = tuple(zip(names, goal.params))
         inner = {**env, **dict(params)}
         return Fun(params, goal.ret,
@@ -358,7 +360,7 @@ def _gen_construct(rng: random.Random, env: TypeEnv, goal: Object,
     """
     class_entries: list[tuple[str, AnthillType]] = []
     inst_entries: list[tuple[str, AnthillType]] = []
-    for label, ty in goal.attrs.items():
+    for label, ty in goal.attrs.entries:
         if rng.random() < 0.5:
             inst_entries.append((label, ty))
         elif _has_receiver(ty):
@@ -367,7 +369,7 @@ def _gen_construct(rng: random.Random, env: TypeEnv, goal: Object,
             class_entries.append((label, ty))
     cls_ty = Class(goal.name, goal.openness, AttrTypes(class_entries),
                    AttrTypes(inst_entries),
-                   tuple(ty for _, ty in inst_entries))
+                   tuple(dict(inst_entries).values()))
 
     def sub(scope, ty):
         return gen_typed_term(rng, {**env, **scope}, ty, depth - 1)
@@ -378,9 +380,9 @@ def _gen_construct(rng: random.Random, env: TypeEnv, goal: Object,
     cls = ClassDecl(goal.name, goal.openness, cls_ty.class_attrs,
                     cls_ty.instance_attrs, (), methods, fields,
                     _installer("a", inst_entries))
-    args = tuple(gen_typed_term(rng, env, ty, depth - 1)
-                 for _, ty in inst_entries)
-    return App(cls, args)
+    args = map(gen_typed_term, repeat(rng), repeat(env), cls_ty.ctor_params,
+               repeat(depth - 1))
+    return App(cls, tuple(args))
 
 
 def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
@@ -388,13 +390,13 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
     # optionally inherit a subset of the declared class members
     supers: list[AnthillTerm] = []
     inherited: set[str] = set()
-    if depth >= 2 and goal.class_attrs.names() and rng.random() < 0.35:
-        picked = [e for e in goal.class_attrs.items() if rng.random() < 0.5]
+    if depth >= 2 and goal.class_attrs.entries and rng.random() < 0.35:
+        picked = [e for e in goal.class_attrs.entries if rng.random() < 0.5]
         if picked:
             super_ty = Class(_choice(rng, TYPE_NAME_POOL), _openness(rng),
                              AttrTypes(picked), AttrTypes(()), ())
             supers.append(gen_typed_term(rng, env, super_ty, depth - 1))
-            inherited = {label for label, _ in picked}
+            inherited = set(dict(picked))
     if depth >= 2 and rng.random() < 0.05:
         # an opaque super: statically fine, fails the class-tag cast at
         # run time unless it happens to be a class
@@ -403,10 +405,10 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
     def sub(scope, ty):
         return gen_typed_term(rng, {**env, **scope}, ty, depth - 1)
     methods, fields = _members(
-        [e for e in goal.class_attrs.items() if e[0] not in inherited],
+        [e for e in goal.class_attrs.entries if e[0] not in inherited],
         goal, sub)
-    taken = set(goal.class_attrs.names()) | set(goal.instance_attrs.names())
-    free = [l for l in LABEL_POOL if l not in taken]
+    taken = goal.class_attrs._map.keys() | goal.instance_attrs._map.keys()
+    free = list(filterfalse(taken.__contains__, LABEL_POOL))
     if free and rng.random() < 0.2:
         # an undeclared extra member is allowed
         fields += ((_choice(rng, free),
@@ -440,11 +442,11 @@ def gen_tag(rng: random.Random) -> Tag:
     if kind == "int":
         return INT_TAG
     if kind == "fun":
-        return FunTag(_randint(rng, 0, 2))
-    labels = tuple(_sample(rng, LABEL_POOL, _randint(rng, 0, 2)))
+        return FUN_TAGS[_below(rng, 3)]
+    labels = tuple(_sample(rng, LABEL_POOL, _below(rng, 3)))
     if kind == "obj":
         return ObjTag(labels)
-    arity = None if rng.random() < 0.4 else _randint(rng, 0, 2)
+    arity = None if rng.random() < 0.4 else _below(rng, 3)
     return ClassTag(labels, arity)
 
 
@@ -465,20 +467,20 @@ def gen_native_expr(rng: random.Random, scope: tuple[str, ...],
     if depth <= 0:
         if scope and rng.random() < 0.5:
             return UVar(_choice(rng, scope))
-        return UInt(_randint(rng, 0, 9))
+        return UInt(_below(rng, 10))
     kind = _pick(rng, NATIVE_MENUS[bool(scope)])
     if kind == "int":
-        return UInt(_randint(rng, 0, 9))
+        return UInt(_below(rng, 10))
     if kind == "var":
         return UVar(_choice(rng, scope))
     if kind == "lam":
-        params = tuple(_sample(rng, BINDER_POOL, _randint(rng, 0, 2)))
+        params = tuple(_sample(rng, BINDER_POOL, _below(rng, 3)))
         return ULam(params, gen_native_expr(rng, scope + params, depth - 1))
     if kind == "app":
         fn = gen_native_expr(rng, scope, depth - 1)
-        args = tuple(gen_native_expr(rng, scope, depth - 1)
-                     for _ in range(_randint(rng, 0, 2)))
-        return UApp(fn, args, NATIVE)
+        args = map(gen_native_expr, repeat(rng, _below(rng, 3)),
+                   repeat(scope), repeat(depth - 1))
+        return UApp(fn, tuple(args), NATIVE)
     if kind == "let":
         name = _choice(rng, BINDER_POOL)
         return ULet(name, gen_native_expr(rng, scope, depth - 1),
@@ -498,8 +500,8 @@ def gen_native_expr(rng: random.Random, scope: tuple[str, ...],
 def gen_native_value(rng: random.Random, scope: tuple[str, ...],
                      depth: int) -> UPyExpr:
     if rng.random() < 0.4:
-        return UInt(_randint(rng, 0, 9))
-    params = tuple(_sample(rng, BINDER_POOL, _randint(rng, 0, 2)))
+        return UInt(_below(rng, 10))
+    params = tuple(_sample(rng, BINDER_POOL, _below(rng, 3)))
     return ULam(params, gen_native_expr(rng, scope + params, depth - 1))
 
 
@@ -508,10 +510,10 @@ def _gen_native_class(rng: random.Random, scope: tuple[str, ...], depth: int,
     """A native class literal; if hole_member is given it becomes one
     member and the supers are restricted to values."""
     gen_super = gen_native_expr if hole_member is None else gen_native_value
-    supers = tuple(gen_super(rng, scope, depth - 1)
-                   for _ in range(_randint(rng, 0, 1)))
-    labels = _sample(rng, LABEL_POOL,
-                     _randint(rng, 1 if hole_member is not None else 0, 2))
+    supers = tuple(map(gen_super, repeat(rng, _below(rng, 2)),
+                       repeat(scope), repeat(depth - 1)))
+    labels = _sample(rng, LABEL_POOL, _below(rng, 3) if hole_member is None
+                     else 1 + _below(rng, 2))
     members: list[tuple[str, UPyExpr]] = []
     hole_at = _below(rng, len(labels)) if hole_member is not None else -1
     for i, label in enumerate(labels):
@@ -519,8 +521,8 @@ def _gen_native_class(rng: random.Random, scope: tuple[str, ...], depth: int,
                  else gen_native_expr(rng, scope, depth - 1))
         members.append((label, value))
     if rng.random() < 0.8:
-        arity = _randint(rng, 1, 3)
-        names = tuple(f"v{i}" for i in range(arity))
+        arity = 1 + _below(rng, 3)
+        names = tuple(map("v{}".format, range(arity)))
         ctor = ULam(names, gen_native_expr(rng, scope + names, depth - 1))
     else:
         ctor = gen_native_expr(rng, scope, depth - 1)
@@ -558,21 +560,22 @@ def _gen_ctx(rng: random.Random, scope: tuple[str, ...],
         return ULet(name, gen_native_expr(rng, scope, depth - 1),
                     _gen_ctx(rng, scope + (name,), depth - 1))
     if kind == "lam_body":
-        params = tuple(_sample(rng, BINDER_POOL, _randint(rng, 0, 2)))
+        params = tuple(_sample(rng, BINDER_POOL, _below(rng, 3)))
         return ULam(params, _gen_ctx(rng, scope + params, depth - 1))
     if kind == "app_fn":
         return UApp(_gen_ctx(rng, scope, depth - 1),
-                    tuple(gen_native_expr(rng, scope, depth - 1)
-                          for _ in range(_randint(rng, 0, 2))), NATIVE)
+                    tuple(map(gen_native_expr, repeat(rng, _below(rng, 3)),
+                              repeat(scope), repeat(depth - 1))), NATIVE)
     if kind == "app_arg":
         fn = gen_native_expr(rng, scope, depth - 1)
-        count = _randint(rng, 1, 2)
+        count = 1 + _below(rng, 2)
         at = _below(rng, count)
         inner = _gen_ctx(rng, scope, depth - 1)
-        args = tuple(inner if i == at
-                     else gen_native_expr(rng, scope, depth - 1)
-                     for i in range(count))
-        return UApp(fn, args, NATIVE)
+        args = []
+        for i in range(count):
+            args.append(inner if i == at
+                        else gen_native_expr(rng, scope, depth - 1))
+        return UApp(fn, tuple(args), NATIVE)
     if kind == "get_subject":
         return UGet(_gen_ctx(rng, scope, depth - 1),
                     _choice(rng, LABEL_POOL), NATIVE)

@@ -83,7 +83,8 @@ def trial_seed(base_seed: int, index: int) -> int:
 
 def hole_envs(binders: tuple[str, ...]) -> tuple[TypeEnv, TagEnv]:
     """The hole convention: each binder at dyn to type, at pyobj to tag."""
-    return dict.fromkeys(binders, DYN), tuple((x, PYOBJ) for x in binders)
+    return (dict.fromkeys(binders, DYN),
+            tuple(zip(binders, (PYOBJ,) * len(binders))))
 
 
 def draw_trial(seed: int, config: TrialConfig) -> tuple[

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from itertools import repeat
 from dataclasses import dataclass, field
+from operator import attrgetter, is_
 
 from .upython import (
+    FUN_TAGS,
     INT_TAG,
     PYOBJ,
     ClassTag,
@@ -39,7 +41,6 @@ from .upython import (
     UVar,
     VALUE_CLASSES,
     class_arity,
-    is_value,
     node,
     rebuild_path,
     tag_subtype,
@@ -173,10 +174,10 @@ def value_tag(v: UPyExpr, heap: Heap) -> Tag:
     if isinstance(v, UInt):
         return INT_TAG
     if isinstance(v, ULam):
-        return FunTag(len(v.params))
+        return FUN_TAGS[len(v.params)]
     if not (isinstance(v, UAddr) and v.addr in heap):
         return PYOBJ
-    labels = set().union(*(h.members for h in _ancestors(v.addr, heap)))
+    labels = set().union(*map(attrgetter("members"), _ancestors(v.addr, heap)))
     h = heap[v.addr]
     if isinstance(h, ObjH):
         return ObjTag(labels)
@@ -214,9 +215,9 @@ def lookup(addr: int, label: str, heap: Heap, p: Label):
                 return CastError(1, "EGet2")
             # found is closed and $ is unutterable in surface syntax,
             # so these names capture nothing
-            rest = tuple(f"$r{i}" for i in range(len(found.params) - 1))
+            rest = tuple(map("$r{}".format, range(len(found.params) - 1)))
             found = ULam(rest, UApp(found,
-                                    (UAddr(addr),) + tuple(UVar(y) for y in rest),
+                                    (UAddr(addr), *map(UVar, rest)),
                                     p))
     else:
         found = getattr_(addr, label, heap)
@@ -227,7 +228,8 @@ def lookup(addr: int, label: str, heap: Heap, p: Label):
 
 def substitute(e: UPyExpr, bindings: dict[str, UPyExpr]) -> UPyExpr:
     """Simultaneous name-based substitution, stopping at shadowing
-    binders. The substituted values are closed, so capture is moot."""
+    binders. The substituted values are closed, so capture is moot. A
+    subterm with no bound name free is walked but returned itself."""
     if not bindings:
         return e
     return _SUBST_RULES[type(e)](e, bindings)
@@ -248,60 +250,44 @@ def _subst_var(e: UVar, b: dict) -> UPyExpr:
 
 
 def _subst_lam(e: ULam, b: dict) -> UPyExpr:
-    inner = {x: v for x, v in b.items() if x not in e.params}
-    if not inner:
-        return e
-    body = e.body
-    return ULam(e.params, _SUBST_RULES[type(body)](body, inner))
+    if not b.keys().isdisjoint(e.params):
+        b = {x: v for x, v in b.items() if x not in e.params}
+        if not b:
+            return e
+    body = _SUBST_RULES[type(e.body)](e.body, b)
+    return e if body is e.body else ULam(e.params, body)
 
 
 def _subst_let(e: ULet, b: dict) -> UPyExpr:
-    bound, body = e.bound, e.body
-    bound = _SUBST_RULES[type(bound)](bound, b)
+    bound = _SUBST_RULES[type(e.bound)](e.bound, b)
     if e.name in b:
-        b = {x: v for x, v in b.items() if x != e.name}
-        if not b:
-            return ULet(e.name, bound, body)
-    return ULet(e.name, bound, _SUBST_RULES[type(body)](body, b))
-
-
-def _subst_app(e: UApp, b: dict) -> UPyExpr:
-    fn = e.fn
-    args = []
-    for a in e.args:
-        args.append(_SUBST_RULES[type(a)](a, b))
-    return UApp(_SUBST_RULES[type(fn)](fn, b), tuple(args), e.label)
-
-
-def _subst_get(e: UGet, b: dict) -> UPyExpr:
-    s = e.subject
-    return UGet(_SUBST_RULES[type(s)](s, b), e.attr, e.label)
-
-
-def _subst_set(e: USet, b: dict) -> UPyExpr:
-    s, v = e.subject, e.value
-    return USet(_SUBST_RULES[type(s)](s, b), e.attr,
-                _SUBST_RULES[type(v)](v, b), e.label)
+        b = dict(b)
+        del b[e.name]
+    body = _SUBST_RULES[type(e.body)](e.body, b) if b else e.body
+    return (e if bound is e.bound and body is e.body
+            else ULet(e.name, bound, body))
 
 
 def _subst_check(e: UCheck, b: dict) -> UPyExpr:
-    s = e.subject
-    return UCheck(_SUBST_RULES[type(s)](s, b), e.tag)
+    s = _SUBST_RULES[type(e.subject)](e.subject, b)
+    return e if s is e.subject else UCheck(s, e.tag)
 
 
 def _subst_kids(e: UPyExpr, b: dict) -> UPyExpr:
-    kids = []
-    for k in e.children():
+    kids, old = [], e.children()
+    for k in old:
         kids.append(_SUBST_RULES[type(k)](k, b))
-    return e.rebuild(kids)
+    return e if all(map(is_, kids, old)) else e.rebuild(kids)
 
 
-# the substitution rule of each expression class; a class with none,
-# such as the hole, goes through its children() and rebuild()
+# the substitution rule of each expression class; a call, get, set or
+# class literal goes through its children() and rebuild(), as does a
+# class with no rule, such as the hole
 _SUBST_RULES = RuleTable(_subst_kids, {
     UVar: _subst_var, UInt: _subst_leaf, UAddr: _subst_leaf,
-    ULam: _subst_lam, ULet: _subst_let, UApp: _subst_app, UGet: _subst_get,
-    USet: _subst_set, UCheck: _subst_check, UClass: _subst_kids})
+    ULam: _subst_lam, ULet: _subst_let, UCheck: _subst_check,
+    UApp: _subst_kids, UGet: _subst_kids, USet: _subst_kids,
+    UClass: _subst_kids})
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +373,7 @@ def _contract(e: UPyExpr, heap: Heap) -> Stepped | CastError | PyError:
         if not (all(map(_is_class, e.supers, repeat(heap)))
                 and (isinstance(e.ctor, ULam) or _is_class(e.ctor, heap))):
             return PyError(e.label, 1, "EClass3")
-        a = heap.alloc(ClassH(tuple(s.addr for s in e.supers),
+        a = heap.alloc(ClassH(tuple(map(attrgetter("addr"), e.supers)),
                               dict(e.members), e.ctor))
         return Stepped(UAddr(a), "EClass")
 
@@ -422,7 +408,7 @@ def run(e: UPyExpr, heap: Heap | None = None, budget: int = 10 ** 6,
     stack = []
     steps = 0
     while True:
-        if not is_value(e):
+        if not isinstance(e, VALUE_CLASSES):
             e = _focus(e, stack)
         elif not stack:
             return Value(e, heap, steps)

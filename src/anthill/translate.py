@@ -10,6 +10,8 @@ tests the tag image of a static type.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .core import (
     OPEN,
     AnthillTerm,
@@ -37,9 +39,10 @@ from .core import (
 )
 from .printer import print_anthill_type
 from .upython import (
+    FUN_TAGS,
+    OBJ_TAG,
     TRANSLATED,
     ClassTag,
-    FunTag,
     ObjTag,
     RuleError,
     RuleTable,
@@ -105,7 +108,7 @@ def _set(env: TypeEnv, t: Set) -> tuple[UPyExpr, AnthillType]:
     attr_ty = _member_type("set", subj_ty, t)
     value, value_ty = _TERM_RULES[type(t.value)](env, t.value)
     if attr_ty is None:
-        return USet(UCheck(subject, ObjTag(())), t.attr, value,
+        return USet(UCheck(subject, OBJ_TAG), t.attr, value,
                     TRANSLATED), INT
     if not subtype_consistent(value_ty, attr_ty):
         raise StaticTypeError(
@@ -119,7 +122,7 @@ def _set(env: TypeEnv, t: Set) -> tuple[UPyExpr, AnthillType]:
 
 def _fun(env: TypeEnv, t: Fun) -> tuple[UPyExpr, AnthillType]:
     return (_lambda(env, "fun", t.params, t.params, t.ret, t.body, t),
-            Function(tuple(ty for _, ty in t.params), t.ret))
+            Function(tuple(map(itemgetter(1), t.params)), t.ret))
 
 
 def _app(env: TypeEnv, t: App) -> tuple[UPyExpr, AnthillType]:
@@ -127,10 +130,10 @@ def _app(env: TypeEnv, t: App) -> tuple[UPyExpr, AnthillType]:
     arg_pairs = []
     for a in t.args:
         arg_pairs.append(_TERM_RULES[type(a)](env, a))
-    args = tuple(e for e, _ in arg_pairs)
+    args = tuple(map(itemgetter(0), arg_pairs))
 
     if isinstance(fn_ty, Dyn):
-        return UApp(UCheck(fn, FunTag(len(args))), args, TRANSLATED), DYN
+        return UApp(UCheck(fn, FUN_TAGS[len(args)]), args, TRANSLATED), DYN
 
     if isinstance(fn_ty, Class):
         fn_ty = factory_type(fn_ty)
@@ -166,7 +169,7 @@ def _mems_or_error(rule, ty, subterm):
 def _member_type(rule, ty, t):
     """The declared type of member t.attr on ty, or None when ty is open
     and lacks it; a static type error when ty is closed and lacks it."""
-    members = _mems_or_error(rule, ty, t)
+    members = _mems_or_error(rule, ty, t)._map
     if t.attr in members or queryable(ty) is OPEN:
         return members.get(t.attr)
     raise StaticTypeError(
@@ -182,8 +185,8 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
     for s in t.supers:
         se, sty = _TERM_RULES[type(s)](env, s)
         sm = _mems_or_error("class", sty, s)
-        super_exprs.append(UCheck(se, ClassTag(sm.names(), None)))
-        super_mems.append(sm)
+        super_exprs.append(UCheck(se, ClassTag(sm._map, None)))
+        super_mems.append(sm._map)
 
     # the constructor's receiver is dynamically typed in its body and
     # gets no entry check; its parameters are checked as in functions
@@ -203,7 +206,7 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
         me = _lambda(env, "method", params, params, m.ret, m.body, m)
         method_members.append((m.name, me))
         local_types[m.name] = Function(
-            (DYN,) + tuple(ty for _, ty in m.params), m.ret)
+            (DYN, *map(itemgetter(1), m.params)), m.ret)
     field_members = []
     for name, fe in t.fields:
         fe2, fty = _TERM_RULES[type(fe)](env, fe)
@@ -213,9 +216,11 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
     # every declared class attribute must be provided, by a local member
     # or a superclass, at a type that flows into the declaration; local
     # members shadow supers, earlier supers shadow later ones
-    for name, declared_ty in declared.class_attrs.items():
-        provided = next((m[name] for m in (local_types, *super_mems)
-                         if name in m), None)
+    provides = {}
+    for m in (*reversed(super_mems), local_types):
+        provides.update(m)
+    for name, declared_ty in declared.class_attrs.entries:
+        provided = provides.get(name)
         if provided is None:
             raise StaticTypeError(
                 "class",
@@ -257,7 +262,7 @@ def _lambda(env: TypeEnv, rule: str, params, checked, ret: AnthillType,
     for name, ty in reversed(checked):
         if name != "_":
             body = ULet(name, UCheck(UVar(name), tag_of(ty)), body)
-    return ULam(tuple(n for n, _ in params), body)
+    return ULam(tuple(map(itemgetter(0), params)), body)
 
 
 # the translation rule of each term class; the rules recurse through it

@@ -24,7 +24,8 @@ def node(cls):
     costs about half what the dataclass's `object.__setattr__` calls do,
     before it calls `__post_init__`. Fields take plain defaults only. A
     class that writes its own `__init__` keeps it. Setting or deleting
-    any name raises FrozenInstanceError, not only a field's."""
+    any name raises FrozenInstanceError, not only a field's. Profiles
+    and tracebacks name a generated `__init__`'s file `<node Cls>`."""
     own_init = "__init__" in cls.__dict__
     cls = dataclass(frozen=True, slots=True)(cls)
     cls.__setattr__ = cls.__delattr__ = _frozen
@@ -41,8 +42,9 @@ def node(cls):
             params.append(f"{f.name}=_default_{f.name}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    exec(f"def __init__({', '.join(params)}):\n "
-         + "\n ".join(body or ["pass"]), env)
+    exec(compile(f"def __init__({', '.join(params)}):\n "
+                 + "\n ".join(body or ["pass"]),
+                 f"<node {cls.__qualname__}>", "exec"), env)
     env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = env["__init__"]
     return cls
@@ -130,29 +132,35 @@ class ClassTag(Tag):
         ClassTag.arity.__set__(self, arity)
 
 
+class _FunTags(dict):
+    """Arity -> its one FunTag, made on first use."""
+    def __missing__(self, arity):
+        tag = self[arity] = FunTag(arity)
+        return tag
+
+
 PYOBJ = Pyobj()
 INT_TAG = IntTag()
+FUN_TAGS = _FunTags()
+OBJ_TAG = ObjTag(())
 
 
 def tag_subtype(s1: Tag, s2: Tag) -> bool:
     """Reflexive-transitive subtag order with pyobj on top, width order
     on member-name sets, and classes usable as objects and as
-    constructors of their call arity."""
-    if isinstance(s2, Pyobj):
+    constructors of their call arity; a tag is below itself by identity."""
+    if s1 is s2 or isinstance(s2, Pyobj):
         return True
-    if s1 == s2:
-        return True
-    if isinstance(s1, ObjTag) and isinstance(s2, ObjTag):
-        return s2.labels <= s1.labels
-    if isinstance(s1, ClassTag):
-        if isinstance(s2, ClassTag):
-            return (s2.labels <= s1.labels
-                    and (s1.arity == s2.arity or s2.arity is None))
-        if isinstance(s2, ObjTag):
-            return s2.labels <= s1.labels
-        if isinstance(s2, FunTag):
+    if isinstance(s2, ObjTag):
+        return isinstance(s1, (ObjTag, ClassTag)) and s2.labels <= s1.labels
+    if isinstance(s2, FunTag):
+        if isinstance(s1, ClassTag):
             return s1.arity == s2.arity and s1.arity is not None
-    return False
+        return isinstance(s1, FunTag) and s1.arity == s2.arity
+    if isinstance(s2, ClassTag):
+        return (isinstance(s1, ClassTag) and s2.labels <= s1.labels
+                and (s1.arity == s2.arity or s2.arity is None))
+    return isinstance(s1, IntTag) and isinstance(s2, IntTag)
 
 
 def class_arity(ctor: Tag) -> int | None:
@@ -280,12 +288,12 @@ class UClass(UPyExpr):
             seen.add(lbl)
 
     def children(self):
-        return (*self.supers, self.ctor, *(m for _, m in self.members))
+        return (*self.supers, self.ctor, *dict(self.members).values())
 
     def rebuild(self, kids):
         n = len(self.supers)
         return UClass(self.name, tuple(kids[:n]),
-                      tuple(zip((l for l, _ in self.members), kids[n + 1:])),
+                      tuple(zip(dict(self.members), kids[n + 1:])),
                       kids[n], self.label)
 
 
@@ -334,9 +342,10 @@ def erase_checks(e: UPyExpr) -> UPyExpr:
 
 
 def rebuild_path(frames, e: UPyExpr) -> UPyExpr:
-    """Put e in the innermost slot of frames, (node, kids list, slot)
-    from the root down, and rebuild outwards in place; return the root."""
+    """Put e in the innermost slot of frames, (node, kids, slot) from
+    the root down, and rebuild outwards on copies; return the root."""
     for node, kids, i in reversed(frames):
+        kids = list(kids)
         kids[i] = e
         e = node.rebuild(kids)
     return e

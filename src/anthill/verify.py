@@ -13,9 +13,10 @@ from __future__ import annotations
 from .printer import print_tag, print_upython
 from .runtime import Heap, parents, value_tag
 from .upython import (
+    FUN_TAGS,
     NATIVE,
+    OBJ_TAG,
     ClassTag,
-    FunTag,
     ObjTag,
     Pyobj,
     RuleError,
@@ -94,9 +95,10 @@ def _addr(env: TagEnv, sigma: HeapType, e: UAddr) -> Tag:
 
 
 def _lam(env: TagEnv, sigma: HeapType, e: ULam) -> Tag:
-    inner = env + tuple((x, PYOBJ) for x in e.params)
-    _INFER_RULES[type(e.body)](inner, sigma, e.body)
-    return FunTag(len(e.params))
+    for x in e.params:
+        env += ((x, PYOBJ),)
+    _INFER_RULES[type(e.body)](env, sigma, e.body)
+    return FUN_TAGS[len(e.params)]
 
 
 def _check(env: TagEnv, sigma: HeapType, e: UCheck) -> Tag:
@@ -118,7 +120,7 @@ def _app(env: TagEnv, sigma: HeapType, e: UApp) -> Tag:
     if e.label is NATIVE:
         _INFER_RULES[type(e.fn)](env, sigma, e.fn)
     else:
-        _demand(env, sigma, e.fn, FunTag(len(e.args)), "app")
+        _demand(env, sigma, e.fn, FUN_TAGS[len(e.args)], "app")
     for a in e.args:
         _INFER_RULES[type(a)](env, sigma, a)
     return PYOBJ
@@ -136,13 +138,13 @@ def _set(env: TagEnv, sigma: HeapType, e: USet) -> Tag:
     if e.label is NATIVE:
         _INFER_RULES[type(e.subject)](env, sigma, e.subject)
     else:
-        _demand(env, sigma, e.subject, ObjTag(()), "set")
+        _demand(env, sigma, e.subject, OBJ_TAG, "set")
     _INFER_RULES[type(e.value)](env, sigma, e.value)
     return INT_TAG
 
 
 def _class(env: TagEnv, sigma: HeapType, e: UClass) -> Tag:
-    own = frozenset(l for l, _ in e.members)
+    own = frozenset(dict(e.members))
     for _, m in e.members:
         _INFER_RULES[type(m)](env, sigma, m)
     if e.label is NATIVE:

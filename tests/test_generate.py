@@ -10,7 +10,6 @@ from anthill.generate import (
     _below,
     _choice,
     _pick,
-    _randint,
     _sample,
     _table,
     gen_native_expr,
@@ -145,10 +144,11 @@ def test_pick_draws_like_choices():
 
 # every draw the generators make, as (replay, the random.Random method
 # it replays): randint over each range used (0-n for n up to the four
-# labels a class type may draw), choice over the pools and shorter
-# lists, sample of every size from both pools, randrange(1) and (2)
+# labels a class type may draw), which the generators write out as
+# a + _below(rng, b - a + 1), choice over the pools and shorter lists,
+# sample of every size from both pools, randrange(1) and (2)
 _DRAWS = [
-    *((lambda r, a=a, b=b: _randint(r, a, b),
+    *((lambda r, a=a, b=b: a + _below(r, b - a + 1),
        lambda r, a=a, b=b: r.randint(a, b))
       for a, b in ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 9), (1, 2),
                    (1, 3))),

@@ -262,6 +262,32 @@ def test_substitution_agrees_with_the_oracle():
     assert cases >= 2000 and shadowing >= 500, (cases, shadowing)
 
 
+def test_substitution_shares_the_subterms_where_the_name_is_not_free():
+    e = parse_upython("lambda(y): let z = y.a in check(z(y, 1), int)")
+    assert substitute(e, {"x": UInt(5)}) is e
+    assert substitute(e, {"y": UInt(5)}) is e
+    body = parse_upython("let z = x in (lambda(x): x)(z.a)")
+    out = substitute(body, {"x": UInt(5)})
+    assert out is not body and out.bound == UInt(5) and out.body is body.body
+
+
+def test_substitution_rebuilds_only_the_subterms_it_changes():
+    # the substituted value is a leaf, as the variable it replaces is,
+    # so the result's nodes line up with the body's in walk order; "q"
+    # is bound nowhere, so it is free nowhere
+    value = UInt(7)
+    shared = rebuilt = 0
+    for body, names in _substitution_cases():
+        for x in (*names[:1], "q"):
+            out = substitute(body, {x: value})
+            assert out == o_substitute(body, {x: value})
+            for old, new in zip(walk(body), walk(out), strict=True):
+                assert (new is old) == (new == old), (old, new)
+                shared += new is old
+                rebuilt += new is not old
+    assert shared >= 60_000 and rebuilt >= 10_000, (shared, rebuilt)
+
+
 def test_every_expression_class_but_the_hole_has_a_substitution_rule():
     classes = package_subclasses(UPyExpr)
     assert {"UVar", "UClass", "UHole"} <= {c.__name__ for c in classes}

@@ -3,6 +3,7 @@
 
 import dataclasses
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -172,6 +173,30 @@ def test_nodes_keep_the_frozen_dataclass_contract(cls):
             changed = dataclasses.replace(node, **{name: "<new>"})
             assert changed != node
             assert changed == cls(**{**args, name: "<new>"})
+
+
+def test_generated_node_inits_are_compiled_under_their_class_name():
+    named = 0
+    for cls in _node_classes():
+        code = cls.__init__.__code__
+        if code.co_filename != sys.modules[cls.__module__].__file__:
+            assert code.co_filename == f"<node {cls.__qualname__}>"
+            assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+            named += 1
+    assert named >= 30, named
+
+
+def test_function_tags_are_one_object_per_arity():
+    fun_tags = upython.FUN_TAGS
+    assert fun_tags[2] is fun_tags[2] and fun_tags[2] == upython.FunTag(2)
+    assert fun_tags[0] is not fun_tags[1]
+    assert core.tag_of(core.Function((core.INT,), core.DYN)) is fun_tags[1]
+    assert runtime.value_tag(ULam(("x", "y"), UVar("x")),
+                             runtime.Heap()) is fun_tags[2]
+    assert upython.OBJ_TAG == upython.ObjTag(())
+    assert upython.tag_subtype(fun_tags[1], fun_tags[1])
+    assert upython.tag_subtype(upython.FunTag(1), fun_tags[1])
+    assert not upython.tag_subtype(fun_tags[1], fun_tags[2])
 
 
 # each site reports the first label seen a second time: b, not a
