@@ -32,21 +32,23 @@ class AnthillType:
 
 class AttrTypes:
     """Ordered label -> type map. Equality ignores order; iteration and
-    printing preserve declaration order. Duplicate labels are rejected."""
+    printing preserve declaration order. Duplicate labels are rejected; a
+    dict is kept as it is, so its labels must be str and must not change."""
 
     __slots__ = ("entries", "_map")
 
     def __init__(self, entries=()) -> None:
-        entries = tuple(entries)
-        if not all(map(str.__instancecheck__, map(itemgetter(0), entries))):
-            entries = tuple([(str(l), t) for l, t in entries])
-        mapping = dict(entries)
-        if len(mapping) < len(entries):
-            seen = set()
-            lbl = next(l for l, _ in entries if l in seen or seen.add(l))
-            raise ValueError(f"duplicate attribute label {lbl!r}")
-        _set_entries(self, entries)
-        _set_map(self, mapping)
+        pairs = tuple(entries.items() if type(entries) is dict else entries)
+        if type(entries) is not dict:
+            if not all(map(str.__instancecheck__, map(itemgetter(0), pairs))):
+                pairs = tuple([(str(l), t) for l, t in pairs])
+            entries = dict(pairs)
+            if len(entries) < len(pairs):
+                seen = set()
+                lbl = next(l for l, _ in pairs if l in seen or seen.add(l))
+                raise ValueError(f"duplicate attribute label {lbl!r}")
+        _set_entries(self, pairs)
+        _set_map(self, entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("AttrTypes is immutable")

@@ -40,51 +40,12 @@ from __future__ import annotations
 import re
 from itertools import chain
 
-from .core import (
-    CLOSED,
-    OPEN,
-    AnthillTerm,
-    AnthillType,
-    App,
-    AttrTypes,
-    Class,
-    ClassDecl,
-    Constructor,
-    Fun,
-    Function,
-    Get,
-    Let,
-    Method,
-    Object,
-    Set,
-    Var,
-    IntLit,
-    DYN,
-    INT,
-)
-from .upython import (
-    NATIVE,
-    TRANSLATED,
-    ClassTag,
-    FunTag,
-    Label,
-    ObjTag,
-    Tag,
-    UAddr,
-    UApp,
-    UCheck,
-    UClass,
-    UGet,
-    UHole,
-    UInt,
-    ULam,
-    ULet,
-    UPyExpr,
-    USet,
-    UVar,
-    INT_TAG,
-    PYOBJ,
-)
+from .core import CLOSED, DYN, INT, OPEN, AnthillTerm, AnthillType, App, \
+    AttrTypes, Class, ClassDecl, Constructor, Fun, Function, Get, IntLit, \
+    Let, Method, Object, Set, Var
+from .upython import FUN_TAGS, INT_TAG, OBJ_TAG, PYOBJ, TRANSLATED, \
+    ClassTag, ObjTag, Tag, UAddr, UApp, UCheck, UClass, UGet, UHole, UInt, \
+    ULam, ULet, UPyExpr, USet, UVar
 
 KEYWORDS = frozenset({
     "let", "in", "fun", "meth", "ctor", "init", "class", "obj",
@@ -106,6 +67,7 @@ class ParseError(Exception):
 _CHUNK = re.compile(r"\d+|[^\W\d]\w*|->|.")
 _COMMENT = re.compile(r"#[^\n]*")
 _FIXED = frozenset((*KEYWORDS, "->", *"(){}[],;:.=!@"))
+_OPENNESS = {"open": OPEN, "closed": CLOSED}
 
 
 def _kind(token: str) -> str:
@@ -125,23 +87,22 @@ def _chunks(text: str) -> list[str]:
             .split(" "))
 
 
-def _lex(text: str) -> tuple[list[str], list[str]]:
-    """The kind and the text of each token, both ending in EOF. Each
-    distinct chunk is lexed once, and each distinct token kinded once."""
+def _lex(text: str) -> tuple[list[str], dict[str, str]]:
+    """Each token's text, ending in EOF's empty one, and the kind of each
+    token text; each distinct chunk is lexed, and token kinded, once."""
     chunks = _chunks(text)
     tokens_of = {c: _CHUNK.findall(c) for c in set(chunks)}
     texts = list(chain.from_iterable(map(tokens_of.__getitem__, chunks)))
-    kind_of = {t: _kind(t) for t in set(texts)}
-    kinds = list(map(kind_of.__getitem__, texts))
+    kind_of = {t: _kind(t) for t in set(chain(*tokens_of.values()))}
     if "BAD" in kind_of.values():
-        i = kinds.index("BAD")
+        i = list(map(kind_of.get, texts)).index("BAD")
         c = texts[i][0]
         raise _error(text, _offsets(text)[i],
                      "the $ namespace is reserved for runtime binders"
                      if c == "$" else f"unexpected character {c!r}")
-    kinds.append("EOF")
     texts.append("")
-    return kinds, texts
+    kind_of[""] = "EOF"
+    return texts, kind_of
 
 
 def _offsets(text: str) -> list[int]:
@@ -168,103 +129,210 @@ def _error(text: str, offset: int, message: str) -> ParseError:
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     """Each token's kind, text and offset, ending in the EOF sentinel."""
-    return list(zip(*_lex(text), _offsets(text)))
+    texts, kind_of = _lex(text)
+    return list(zip(map(kind_of.get, texts), texts, _offsets(text)))
 
 
 class _Parser:
-    # Grammar rules look at the current token before they consume it,
-    # so the position never moves past the EOF sentinel. A rule reads
-    # the current kind into a local once and branches on it.
+    # Rules look at the current token before they consume it, so the
+    # position never moves past the EOF sentinel. A rule checks its own
+    # keywords and punctuation by text and its names and numbers by kind,
+    # and reads its comma lists in a loop, in its own frame; only a tag's
+    # or an address's number goes through number().
     def __init__(self, text: str) -> None:
         self.source = text
-        self.kinds, self.texts = _lex(text)
+        self.texts, self.kind_of = _lex(text)
         self.pos = 0
 
     def parse(self, rule):
         """Apply rule to the whole input. The rules recurse once or more
         per level of nesting, so input nested deeper than the stack
-        allows is an error at the token where it ran out."""
+        allows is an error at the token where it ran out. A form nests
+        through the frames it did when it had a rule of its own: sub
+        stands in for that rule, as body does for a source let or fun."""
         try:
             result = rule()
         except RecursionError:
             raise self.fail("input nested too deeply") from None
-        if self.kinds[self.pos] != "EOF":
+        if self.texts[self.pos]:   # EOF's text is the only empty one
             raise self.fail(
                 f"unexpected trailing input {self.texts[self.pos]!r}")
         return result
-
-    def expect(self, kind: str, what: str | None = None) -> str:
-        pos = self.pos
-        if self.kinds[pos] != kind:
-            found = self.texts[pos] or "EOF"
-            raise self.fail(f"expected {what or repr(kind)}, found {found!r}")
-        self.pos = pos + 1
-        return self.texts[pos]
 
     def fail(self, message: str, pos: int | None = None) -> ParseError:
         offset = _offsets(self.source)[self.pos if pos is None else pos]
         return _error(self.source, offset, message)
 
-    def number(self) -> int:
-        pos = self.pos
-        digits = self.expect("NUM")
+    def expected(self, what: str, pos: int) -> ParseError:
+        found = self.texts[pos] or "EOF"
+        return self.fail(f"expected {what}, found {found!r}", pos)
+
+    def too_long(self, pos: int) -> ParseError:
+        # int() converts at most sys.get_int_max_str_digits() digits
+        return self.fail(
+            f"number of {len(self.texts[pos])} digits is too long", pos)
+
+    def number(self, pos: int) -> int:
+        if self.kind_of[self.texts[pos]] != "NUM":
+            raise self.expected("'NUM'", pos)
         try:
-            return int(digits)
-        except ValueError:   # longer than sys.get_int_max_str_digits()
-            raise self.fail(f"number of {len(digits)} digits is too long",
-                            pos) from None
+            return int(self.texts[pos])
+        except ValueError:
+            raise self.too_long(pos) from None
 
-    def ident(self, what: str) -> str:
-        return self.expect("IDENT", what)
+    def sub(self):
+        return self.term()
 
-    def binder(self) -> str:
-        # a binder may be the wildcard; a reference may not
-        return self.ident("binder")
-
-    def reference(self) -> str:
+    def term(self):
+        """A let, a function (fun or lambda), a class or a postfix form."""
+        kind_of, texts = self.kind_of, self.texts
         pos = self.pos
-        name = self.ident("variable")
-        if name == "_":
-            raise self.fail("the wildcard _ cannot be referenced", pos)
-        return name
+        t = texts[pos]
+        if t == "let":
+            if kind_of[texts[pos + 1]] != "IDENT":
+                raise self.expected("binder", pos + 1)
+            if texts[pos + 2] != "=":
+                raise self.expected("'='", pos + 2)
+            self.pos = pos + 3
+            bound = self.body()
+            if texts[self.pos] != "in":
+                raise self.expected("'in'", self.pos)
+            self.pos += 1
+            return self.Let(texts[pos + 1], bound, self.body())
+        if t == self.FUN:
+            self.pos = pos + 1
+            return self.Fun(*self.head(), self.body())
+        if t == "class":
+            label = self.marks.get(texts[pos + 1], ())
+            pos += 1 + len(label)
+            if kind_of[texts[pos]] != "IDENT":
+                raise self.expected("class name", pos)
+            if texts[pos + 1] != "(":
+                raise self.expected("'('", pos + 1)
+            self.pos = pos + 2
+            supers = []
+            while texts[self.pos] != ")":
+                if supers:
+                    if texts[self.pos] != ",":
+                        raise self.expected("','", self.pos)
+                    self.pos += 1
+                supers.append(self.sub())
+            self.pos += 1
+            return self.class_body(texts[pos], tuple(supers), *label)
+        return self.postfix()
 
-    def listed(self, close: str = ")", lead: bool = False):
-        """Yield once per item of a comma-separated list, for the caller
-        to read the item, and consume close after the last. With lead,
-        an item was read already, so the first needs a comma. Items are
-        read in the caller's frame: a callback would cost one more frame
-        per level of nesting, so nested calls and function types would
-        overflow the stack sooner."""
-        while self.kinds[self.pos] != close:
-            if lead:
-                self.expect(",")
-            lead = True
-            yield
-        self.pos += 1
+    def head(self, receiver: bool = False, returns: bool = True) -> list:
+        """A function form's parameters in parentheses, after a receiver
+        binder if it takes one (in the source binder: type, then -> and a
+        return type if it returns one), and the colon before its body."""
+        kind_of, texts = self.kind_of, self.texts
+        pos = self.pos
+        if texts[pos] != "(":
+            raise self.expected("'('", pos)
+        pos += 1
+        if receiver and kind_of[texts[pos]] != "IDENT":
+            raise self.expected("binder", pos)
+        fields = [texts[pos]] if receiver else []
+        pos += len(fields)
+        params = []
+        while texts[pos] != ")":
+            if params or receiver:
+                if texts[pos] != ",":
+                    raise self.expected("','", pos)
+                pos += 1
+            if kind_of[texts[pos]] != "IDENT":
+                raise self.expected("binder", pos)
+            if not self.typed:
+                params.append(texts[pos])
+                pos += 1
+                continue
+            if texts[pos + 1] != ":":
+                raise self.expected("':'", pos + 1)
+            self.pos = pos + 2
+            params.append((texts[pos], self.type_()))
+            pos = self.pos
+        fields.append(tuple(params))
+        pos += 1
+        if returns and self.typed:
+            if texts[pos] != "->":
+                raise self.expected("'->'", pos)
+            self.pos = pos + 1
+            fields.append(self.type_())
+            pos = self.pos
+        if texts[pos] != ":":
+            raise self.expected("':'", pos)
+        self.pos = pos + 1
+        return fields
 
     def postfix(self):
-        """Calls, member reads and a member write after an atom, built
-        with the grammar's App, Get and Set and its label() reader."""
-        e = self.atom()
-        kinds = self.kinds
+        """A variable, number or atom, then the calls, member reads and
+        member write after it, labelled by the marks after each."""
+        kind_of, texts = self.kind_of, self.texts
+        pos = self.pos
+        k = kind_of[texts[pos]]
+        if k == "IDENT":
+            if texts[pos] == "_":
+                raise self.fail("the wildcard _ cannot be referenced", pos)
+            self.pos = pos + 1
+            e = self.Var(texts[pos])
+        elif k == "NUM":
+            try:
+                e = self.Int(int(texts[pos]))
+            except ValueError:
+                raise self.too_long(pos) from None
+            self.pos = pos + 1
+        else:
+            e = self.atom()
         while True:
-            k = kinds[self.pos]
-            if k == "(":
-                self.pos += 1
+            pos = self.pos
+            t = texts[pos]
+            if t == "(":
+                self.pos = pos + 1
                 args = []
-                for _ in self.listed():
+                while texts[self.pos] != ")":
+                    if args:
+                        if texts[self.pos] != ",":
+                            raise self.expected("','", self.pos)
+                        self.pos += 1
                     args.append(self.term())
-                e = self.App(e, tuple(args), *self.label())
-            elif k == ".":
-                self.pos += 1
-                attr = self.ident("attribute label")
-                label = self.label()
-                if kinds[self.pos] == "=":
+                pos = self.pos + 1
+                label = self.marks.get(texts[pos], ())
+                self.pos = pos + len(label)
+                e = self.App(e, tuple(args), *label)
+            elif t == ".":
+                if kind_of[texts[pos + 1]] != "IDENT":
+                    raise self.expected("attribute label", pos + 1)
+                label = self.marks.get(texts[pos + 2], ())
+                self.pos = pos + 2 + len(label)
+                if texts[self.pos] == "=":
                     self.pos += 1
-                    return self.Set(e, attr, self.term(), *label)
-                e = self.Get(e, attr, *label)
+                    return self.Set(e, texts[pos + 1], self.term(), *label)
+                e = self.Get(e, texts[pos + 1], *label)
             else:
                 return e
+
+    def atom(self):
+        """A parenthesized term or check, or one of the grammar's leaves."""
+        texts = self.texts
+        pos = self.pos
+        t = texts[pos]
+        if t == self.CHECK:
+            if texts[pos + 1] != "(":
+                raise self.expected("'('", pos + 1)
+            pos += 1
+        elif t != "(":
+            return self.leaf(pos)
+        self.pos = pos + 1
+        inner = self.term()
+        if t == self.CHECK:
+            if texts[self.pos] != ",":
+                raise self.expected("','", self.pos)
+            self.pos += 1
+            inner = UCheck(inner, self.tag())
+        if texts[self.pos] != ")":
+            raise self.expected("')'", self.pos)
+        self.pos += 1
+        return inner
 
 
 # ---------------------------------------------------------------------------
@@ -272,178 +340,139 @@ class _Parser:
 
 
 class AnthillParser(_Parser):
-    App, Get, Set = App, Get, Set
+    FUN, CHECK, typed, body = "fun", None, True, _Parser.sub
+    Let, Fun, Var, Int, App, Get, Set = Let, Fun, Var, IntLit, App, Get, Set
+    marks = {}   # source forms carry no label
 
-    def label(self) -> tuple:
-        """A node's label fields: none, as source forms carry no label."""
-        return ()
-
-    def term(self) -> AnthillTerm:
-        k = self.kinds[self.pos]
-        if k == "let":
-            return self.let_term()
-        if k == "fun":
-            return self.fun_term()
-        if k == "class":
-            return self.class_term()
-        return self.postfix()
-
-    def let_term(self) -> AnthillTerm:
-        self.pos += 1
-        name = self.binder()
-        self.expect("=")
-        bound = self.term()
-        self.expect("in")
-        body = self.term()
-        return Let(name, bound, body)
-
-    def fun_term(self) -> AnthillTerm:
-        self.pos += 1
-        self.expect("(")
-        params = []
-        for _ in self.listed():
-            params.append(self.param())
-        self.expect("->")
-        ret = self.type_()
-        self.expect(":")
-        body = self.term()
-        return Fun(tuple(params), ret, body)
-
-    def param(self) -> tuple[str, AnthillType]:
-        name = self.binder()
-        self.expect(":")
-        return name, self.type_()
-
-    def receiver_params(self) -> tuple[str, tuple]:
-        """The parenthesized receiver and parameters of a meth or ctor."""
-        self.expect("(")
-        receiver = self.binder()
-        params = []
-        for _ in self.listed(lead=True):
-            params.append(self.param())
-        return receiver, tuple(params)
-
-    def class_term(self) -> AnthillTerm:
-        self.pos += 1
-        name = self.ident("class name")
-        self.expect("(")
-        supers = []
-        for _ in self.listed():
-            supers.append(self.term())
-        self.expect("[")
-        openness = self.openness()
-        self.expect(";")
+    def class_body(self, name: str, supers: tuple) -> AnthillTerm:
+        """A class declaration's openness, attribute types, members and
+        constructor, after its supers."""
+        kind_of, texts = self.kind_of, self.texts
+        pos = self.pos
+        if texts[pos] != "[":
+            raise self.expected("'['", pos)
+        openness = _OPENNESS.get(texts[pos + 1])
+        if openness is None:
+            raise self.fail("expected 'open' or 'closed'", pos + 1)
+        if texts[pos + 2] != ";":
+            raise self.expected("';'", pos + 2)
+        self.pos = pos + 3
         class_attrs = self.attr_types()
-        self.expect(";")
-        instance_attrs = self.attr_types()
-        self.expect("]")
-        self.expect("{")
-        methods: list[Method] = []
-        fields: list[tuple[str, AnthillTerm]] = []
-        kinds = self.kinds
-        while kinds[self.pos] != "init":
-            label_pos = self.pos
-            label = self.ident("member label or init")
-            self.expect("=")
-            if kinds[self.pos] == "meth":
-                methods.append(self.meth_term(label))
-            else:
-                fields.append((label, self.term()))
-            self.expect(";")
-            if kinds[self.pos] == "}":
-                raise self.fail("class body must end with an init clause",
-                                label_pos)
+        if texts[self.pos] != ";":
+            raise self.expected("';'", self.pos)
         self.pos += 1
-        self.expect("=")
-        ctor = self.ctor_term()
-        self.expect("}")
+        instance_attrs = self.attr_types()
+        if texts[self.pos] != "]":
+            raise self.expected("']'", self.pos)
+        if texts[self.pos + 1] != "{":
+            raise self.expected("'{'", self.pos + 1)
+        pos = self.pos + 2
+        methods, fields = [], []
+        while texts[pos] != "init":
+            label = texts[pos]
+            if kind_of[label] != "IDENT":
+                raise self.expected("member label or init", pos)
+            if texts[pos + 1] != "=":
+                raise self.expected("'='", pos + 1)
+            if texts[pos + 2] == "meth":
+                self.pos = pos + 3
+                methods.append(Method(label, *self.head(True), self.sub()))
+            else:
+                self.pos = pos + 2
+                fields.append((label, self.term()))
+            if texts[self.pos] != ";":
+                raise self.expected("';'", self.pos)
+            if texts[self.pos + 1] == "}":
+                raise self.fail("class body must end with an init clause",
+                                pos)
+            pos = self.pos + 1
+        if texts[pos + 1] != "=":
+            raise self.expected("'='", pos + 1)
+        if texts[pos + 2] != "ctor":
+            raise self.expected("'ctor'", pos + 2)
+        self.pos = pos + 3
+        ctor = Constructor(*self.head(True, False), self.sub())
+        if texts[self.pos] != "}":
+            raise self.expected("'}'", self.pos)
+        self.pos += 1
         try:
             return ClassDecl(name, openness, class_attrs, instance_attrs,
-                             tuple(supers), tuple(methods), tuple(fields),
-                             ctor)
+                             supers, tuple(methods), tuple(fields), ctor)
         except ValueError as exc:
             raise self.fail(str(exc)) from None
 
-    def meth_term(self, label: str) -> Method:
-        self.pos += 1
-        receiver, params = self.receiver_params()
-        self.expect("->")
-        ret = self.type_()
-        self.expect(":")
-        body = self.term()
-        return Method(label, receiver, params, ret, body)
-
-    def ctor_term(self) -> Constructor:
-        self.expect("ctor")
-        receiver, params = self.receiver_params()
-        self.expect(":")
-        body = self.term()
-        return Constructor(receiver, params, body)
-
-    def atom(self) -> AnthillTerm:
-        k = self.kinds[self.pos]
-        if k == "NUM":
-            return IntLit(self.number())
-        if k == "(":
-            self.pos += 1
-            inner = self.term()
-            self.expect(")")
-            return inner
-        if k == "IDENT":
-            return Var(self.reference())
-        raise self.fail("expected a term")
-
-    def openness(self):
-        k = self.kinds[self.pos]
-        if k == "open" or k == "closed":
-            self.pos += 1
-            return OPEN if k == "open" else CLOSED
-        raise self.fail("expected 'open' or 'closed'")
+    def leaf(self, pos: int) -> AnthillTerm:
+        raise self.fail("expected a term", pos)
 
     def attr_types(self) -> AttrTypes:
-        self.expect("{")
+        kind_of, texts = self.kind_of, self.texts
+        pos = self.pos
+        if texts[pos] != "{":
+            raise self.expected("'{'", pos)
+        pos += 1
         entries = {}
-        for _ in self.listed("}"):
-            label_pos = self.pos
-            label = self.ident("attribute label")
-            self.expect(":")
+        while texts[pos] != "}":
+            if entries:
+                if texts[pos] != ",":
+                    raise self.expected("','", pos)
+                pos += 1
+            label = texts[pos]
+            if kind_of[label] != "IDENT":
+                raise self.expected("attribute label", pos)
+            if texts[pos + 1] != ":":
+                raise self.expected("':'", pos + 1)
+            self.pos = pos + 2
             ty = self.type_()
             if label in entries:
-                raise self.fail(f"duplicate attribute label {label!r}",
-                                label_pos)
+                raise self.fail(f"duplicate attribute label {label!r}", pos)
             entries[label] = ty
-        return AttrTypes(entries.items())
+            pos = self.pos
+        self.pos = pos + 1
+        return AttrTypes(entries)
 
     def type_(self) -> AnthillType:
+        texts = self.texts
         pos = self.pos
-        k = self.kinds[pos]
+        t = texts[pos]
         self.pos = pos + 1
-        if k == "dyn":
+        if t == "dyn":
             return DYN
-        if k == "int":
+        if t == "int":
             return INT
-        if k == "(":
-            params = []
-            for _ in self.listed():
-                params.append(self.type_())
-            self.expect("->")
-            return Function(tuple(params), self.type_())
-        if k == "obj":
-            name = self.ident("object type name")
-            openness = self.openness()
-            return Object(name, openness, self.attr_types())
-        if k == "class":
-            name = self.ident("class type name")
-            openness = self.openness()
+        if t == "obj" or t == "class":
+            name = texts[pos + 1]
+            if self.kind_of[name] != "IDENT":
+                raise self.expected(
+                    f"{'object' if t == 'obj' else t} type name", pos + 1)
+            openness = _OPENNESS.get(texts[pos + 2])
+            if openness is None:
+                raise self.fail("expected 'open' or 'closed'", pos + 2)
+            self.pos = pos + 3
+            if t == "obj":
+                return Object(name, openness, self.attr_types())
             class_attrs = self.attr_types()
             instance_attrs = self.attr_types()
-            self.expect("(")
-            ctor_params = []
-            for _ in self.listed():
-                ctor_params.append(self.type_())
+            if texts[self.pos] != "(":
+                raise self.expected("'('", self.pos)
+            self.pos += 1
+        elif t != "(":
+            raise self.fail("expected a type", pos)
+        params = []   # a function's or a class's constructor's
+        while texts[self.pos] != ")":
+            if params:
+                if texts[self.pos] != ",":
+                    raise self.expected("','", self.pos)
+                self.pos += 1
+            params.append(self.type_())
+        pos = self.pos + 1
+        if t == "class":
+            self.pos = pos
             return Class(name, openness, class_attrs, instance_attrs,
-                         tuple(ctor_params))
-        raise self.fail("expected a type", pos)
+                         tuple(params))
+        if texts[pos] != "->":
+            raise self.expected("'->'", pos)
+        self.pos = pos + 1
+        return Function(tuple(params), self.type_())
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +480,10 @@ class AnthillParser(_Parser):
 
 
 class UPythonParser(_Parser):
+    FUN, CHECK, typed, body = "lambda", "check", False, _Parser.term
+    Let, Fun, Var, Int = ULet, ULam, UVar, UInt
     App, Get, Set = UApp, UGet, USet
+    marks = {"!": (TRANSLATED,)}   # a ! after a form labels it translated
 
     def __init__(self, text: str, allow_hole: bool = False,
                  allow_addresses: bool = False) -> None:
@@ -459,122 +491,88 @@ class UPythonParser(_Parser):
         self.allow_hole = allow_hole
         self.allow_addresses = allow_addresses
 
-    def label(self) -> tuple[Label]:
-        """A node's label fields: its origin label, TRANSLATED when a !
-        follows."""
-        if self.kinds[self.pos] == "!":
-            self.pos += 1
-            return (TRANSLATED,)
-        return (NATIVE,)
-
-    def term(self) -> UPyExpr:
-        k = self.kinds[self.pos]
-        if k == "let":
-            self.pos += 1
-            name = self.binder()
-            self.expect("=")
-            bound = self.term()
-            self.expect("in")
-            return ULet(name, bound, self.term())
-        if k == "lambda":
-            self.pos += 1
-            self.expect("(")
-            params = []
-            for _ in self.listed():
-                params.append(self.binder())
-            self.expect(":")
-            return ULam(tuple(params), self.term())
-        if k == "class":
-            return self.class_expr()
-        return self.postfix()
-
-    def class_expr(self) -> UPyExpr:
-        self.pos += 1
-        label = self.label()
-        name = self.ident("class name")
-        self.expect("(")
-        supers = []
-        for _ in self.listed():
-            supers.append(self.term())
-        self.expect("{")
+    def class_body(self, name: str, supers: tuple, *label) -> UPyExpr:
+        """A class literal's members and constructor, after its supers."""
+        kind_of, texts = self.kind_of, self.texts
+        if texts[self.pos] != "{":
+            raise self.expected("'{'", self.pos)
+        pos = self.pos + 1
         members = {}
-        for _ in self.listed("}"):
-            label_pos = self.pos
-            mlabel = self.ident("member label")
+        while texts[pos] != "}":
+            if members:
+                if texts[pos] != ",":
+                    raise self.expected("','", pos)
+                pos += 1
+            mlabel = texts[pos]
+            if kind_of[mlabel] != "IDENT":
+                raise self.expected("member label", pos)
             if mlabel in members:
-                raise self.fail(f"duplicate member label {mlabel!r}",
-                                label_pos)
-            self.expect("=")
+                raise self.fail(f"duplicate member label {mlabel!r}", pos)
+            if texts[pos + 1] != "=":
+                raise self.expected("'='", pos + 1)
+            self.pos = pos + 2
             members[mlabel] = self.term()
-        self.expect("init")
+            pos = self.pos
+        if texts[pos + 1] != "init":
+            raise self.expected("'init'", pos + 1)
+        self.pos = pos + 2
         ctor = self.term()
-        return UClass(name, tuple(supers), tuple(members.items()), ctor,
-                      *label)
+        return UClass(name, supers, tuple(members.items()), ctor, *label)
 
-    def atom(self) -> UPyExpr:
-        k = self.kinds[self.pos]
-        if k == "NUM":
-            return UInt(self.number())
-        if k == "(":
-            self.pos += 1
-            inner = self.term()
-            self.expect(")")
-            return inner
-        if k == "check":
-            self.pos += 1
-            self.expect("(")
-            subject = self.term()
-            self.expect(",")
-            tag = self.tag()
-            self.expect(")")
-            return UCheck(subject, tag)
-        if k == "@":
+    def leaf(self, pos: int) -> UPyExpr:
+        t = self.texts[pos]
+        if t == "@":
             if not self.allow_addresses:
-                raise self.fail("addresses are not allowed in source")
-            self.pos += 1
-            return UAddr(self.number())
-        if k == "HOLE":
+                raise self.fail("addresses are not allowed in source", pos)
+            addr = self.number(pos + 1)
+            self.pos = pos + 2
+            return UAddr(addr)
+        if t == "HOLE":
             if not self.allow_hole:
-                raise self.fail("HOLE is only allowed in context files")
-            self.pos += 1
+                raise self.fail("HOLE is only allowed in context files", pos)
+            self.pos = pos + 1
             return UHole()
-        if k == "IDENT":
-            return UVar(self.reference())
-        raise self.fail("expected an expression")
+        raise self.fail("expected an expression", pos)
 
     def tag(self) -> Tag:
+        kind_of, texts = self.kind_of, self.texts
         pos = self.pos
-        k = self.kinds[pos]
+        t = texts[pos]
         self.pos = pos + 1
-        if k == "pyobj":
+        if t == "pyobj":
             return PYOBJ
-        if k == "int":
+        if t == "int":
             return INT_TAG
-        if k == "fun":
-            self.expect("[")
-            arity = self.number()
-            self.expect("]")
-            return FunTag(arity)
-        if k == "obj":
-            return ObjTag(self.tag_labels())
-        if k == "class":
-            labels = self.tag_labels()
-            self.expect("[")
-            if self.kinds[self.pos] == "any":
-                self.pos += 1
-                arity = None
-            else:
-                arity = self.number()
-            self.expect("]")
-            return ClassTag(labels, arity)
-        raise self.fail("expected a tag", pos)
-
-    def tag_labels(self) -> tuple[str, ...]:
-        self.expect("{")
-        labels = []
-        for _ in self.listed("}"):
-            labels.append(self.ident("label"))
-        return tuple(labels)
+        if t == "obj" or t == "class":
+            if texts[pos + 1] != "{":
+                raise self.expected("'{'", pos + 1)
+            pos += 2
+            labels = []
+            while texts[pos] != "}":
+                if labels:
+                    if texts[pos] != ",":
+                        raise self.expected("','", pos)
+                    pos += 1
+                if kind_of[texts[pos]] != "IDENT":
+                    raise self.expected("label", pos)
+                labels.append(texts[pos])
+                pos += 1
+            if t == "obj":
+                self.pos = pos + 1
+                return ObjTag(labels) if labels else OBJ_TAG
+        elif t != "fun":
+            raise self.fail("expected a tag", pos)
+        pos += 1
+        if texts[pos] != "[":
+            raise self.expected("'['", pos)
+        if t == "class" and texts[pos + 1] == "any":
+            arity = None
+        else:
+            arity = self.number(pos + 1)
+        if texts[pos + 2] != "]":
+            raise self.expected("']'", pos + 2)
+        self.pos = pos + 3
+        return FUN_TAGS[arity] if t == "fun" else ClassTag(labels, arity)
 
 
 # ---------------------------------------------------------------------------

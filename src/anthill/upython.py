@@ -11,11 +11,33 @@ from __future__ import annotations
 
 import enum
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from itertools import repeat
 
 
 def _frozen(self, name, *value):
     verb = "assign to" if value else "delete"
     raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for name in self.__match_args__:   # as field tuples compare
+        mine, theirs = getattr(self, name), getattr(other, name)
+        if mine is not theirs and not mine == theirs:
+            return False
+    return True
+
+
+def _hash(self):
+    return hash(tuple(map(getattr, repeat(self), self.__match_args__)))
+
+
+def _repr(self):
+    names = self.__match_args__
+    return (f"{self.__class__.__qualname__}("
+            + ", ".join(map("{}={!r}".format, names,
+                            map(getattr, repeat(self), names))) + ")")
 
 
 def node(cls):
@@ -25,21 +47,33 @@ def node(cls):
     before it calls `__post_init__`. Fields take plain defaults only. A
     class that writes its own `__init__` keeps it. Setting or deleting
     any name raises FrozenInstanceError, not only a field's. Profiles
-    and tracebacks name a generated `__init__`'s file `<node Cls>`."""
-    own_init = "__init__" in cls.__dict__
-    cls = dataclass(frozen=True, slots=True)(cls)
+    and tracebacks name a generated `__init__`'s file `<node Cls>`.
+    Every node class shares one `__eq__`, `__hash__` and `__repr__`,
+    which read the fields from `__match_args__` and give what the
+    dataclass's would; the dataclass makes none of them, nor an
+    `__init__`, so importing the package compiles none of that code."""
+    own_init, documented = "__init__" in cls.__dict__, cls.__doc__
+    if not own_init:   # spares dataclass() an inspect.signature call
+        cls.__doc__ = documented or "-"
+    cls = dataclass(frozen=True, slots=True, init=False, repr=False,
+                    eq=False)(cls)
     cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
     if own_init:
         return cls
-    params, body, env = ["self"], [], {}
+    params, body, env, signature = ["self"], [], {}, []
     for f in fields(cls):
         env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
         body.append(f"_set_{f.name}(self, {f.name})")
+        signature.append(f"{f.name}: {f.type!r}")
         if f.default is MISSING:
             params.append(f.name)
         else:
             env[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
+            signature[-1] += f" = {f.default!r}"
+    if not documented:   # the dataclass's text, for the generated init
+        cls.__doc__ = f"{cls.__name__}({', '.join(signature)})"
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     exec(compile(f"def __init__({', '.join(params)}):\n "
@@ -343,9 +377,11 @@ def erase_checks(e: UPyExpr) -> UPyExpr:
 
 def rebuild_path(frames, e: UPyExpr) -> UPyExpr:
     """Put e in the innermost slot of frames, (node, kids, slot) from
-    the root down, and rebuild outwards on copies; return the root."""
+    the root down, and rebuild outwards; return the root. A frame's kids
+    list is filled in place; a kids tuple is copied first."""
     for node, kids, i in reversed(frames):
-        kids = list(kids)
+        if type(kids) is tuple:
+            kids = list(kids)
         kids[i] = e
         e = node.rebuild(kids)
     return e
