@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from .contexts import ContextError, hole_binders, plug, validate_context
-from .harness import TrialConfig, run_trials, shrink_violation, \
-    translate_into, write_reproducer
+from .harness import TrialConfig, run_trials, translate_into, \
+    write_reproducer
 from .parser import ParseError, parse_anthill, parse_tag, parse_upython
 from .printer import print_anthill_type, print_upython
 from .runtime import OpenTermError, run
@@ -150,8 +150,7 @@ def cmd_fuzz(args) -> int:
     print(report.to_text(verbose=args.verbose), end="")
     if report.violations:
         if args.reproducer:
-            worst = shrink_violation(report.violations[0])
-            write_reproducer(args.reproducer, worst)
+            write_reproducer(args.reproducer, report.violations[0])
             print(f"reproducer written to {args.reproducer}",
                   file=sys.stderr)
         return int(ExitStatus.TRANSLATED_ERROR)
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="print one line per trial")
     p.add_argument("--reproducer", metavar="PATH",
-                   help="on violation, write a shrunk reproducer here")
+                   help="on violation, write the first one's reproducer here")
     p.set_defaults(fn=cmd_fuzz)
 
     return parser

@@ -16,7 +16,7 @@ trial, a mutated translator or an erased term, composes them anew.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .contexts import CodeContext, hole_binders, plug, type_context, \
@@ -182,19 +182,6 @@ def run_trials(count: int, base_seed: int = 0,
     return FuzzReport(base_seed, config, tuple(
         soundness_trial(trial_seed(base_seed, i), config)
         for i in range(count)))
-
-
-def shrink_violation(report: TrialReport) -> TrialReport:
-    """Smallest depth pair at which the same seed still misbehaves."""
-    config = report.config
-    for total in range(2, config.term_depth + config.ctx_depth):
-        for td in range(max(1, total - config.ctx_depth),
-                        min(total - 1, config.term_depth) + 1):
-            candidate = soundness_trial(report.seed, replace(
-                config, term_depth=td, ctx_depth=total - td))
-            if candidate.verdict == "violation":
-                return candidate
-    return report
 
 
 def write_reproducer(path: str, report: TrialReport) -> None:

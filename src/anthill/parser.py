@@ -44,8 +44,8 @@ from .core import CLOSED, DYN, INT, OPEN, AnthillTerm, AnthillType, App, \
     AttrTypes, Class, ClassDecl, Constructor, Fun, Function, Get, IntLit, \
     Let, Method, Object, Set, Var
 from .upython import FUN_TAGS, INT_TAG, OBJ_TAG, PYOBJ, TRANSLATED, \
-    ClassTag, ObjTag, Tag, UAddr, UApp, UCheck, UClass, UGet, UHole, UInt, \
-    ULam, ULet, UPyExpr, USet, UVar
+    ClassTag, FunTag, ObjTag, Tag, UAddr, UApp, UCheck, UClass, UGet, \
+    UHole, UInt, ULam, ULet, UPyExpr, USet, UVar
 
 KEYWORDS = frozenset({
     "let", "in", "fun", "meth", "ctor", "init", "class", "obj",
@@ -572,7 +572,11 @@ class UPythonParser(_Parser):
         if texts[pos + 2] != "]":
             raise self.expected("']'", pos + 2)
         self.pos = pos + 3
-        return FUN_TAGS[arity] if t == "fun" else ClassTag(labels, arity)
+        if t == "class":
+            return ClassTag(labels, arity)
+        # an arity read from input is looked up, never stored, so parsing
+        # does not grow the table
+        return FUN_TAGS.get(arity) or FunTag(arity)
 
 
 # ---------------------------------------------------------------------------

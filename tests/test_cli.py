@@ -27,11 +27,6 @@ def _write(tmp_path, name, text):
 
 # ---------------------------------------------------------------- check
 
-def test_check_prints_the_type(capsys):
-    assert main(["check", "programs/typed_call_lib.ant"]) == 0
-    assert capsys.readouterr().out.strip() == "((int) -> int) -> int"
-
-
 def test_check_rejects_static_error(tmp_path, capsys):
     bad = _write(tmp_path, "bad.ant", "fun(x: int) -> int: x(1)")
     assert main(["check", bad]) == ExitStatus.STATIC_ERROR
@@ -52,14 +47,6 @@ def test_translate_output_matches_library(capsys):
     term = parse_anthill(Path("programs/typed_call_lib.ant").read_text())
     target, _ = translate_program(term)
     assert parse_upython(printed) == target
-
-
-def test_translate_show_type_goes_to_stderr(capsys):
-    assert main(["translate", "programs/typed_call_lib.ant",
-                 "--show-type"]) == 0
-    captured = capsys.readouterr()
-    assert "type: ((int) -> int) -> int" in captured.err
-    assert "type:" not in captured.out
 
 
 # ------------------------------------------------------------------ run
@@ -158,17 +145,6 @@ def test_verify_accepts(capsys):
     assert capsys.readouterr().out.strip() == "verified at pyobj"
 
 
-def test_verify_default_tag_is_pyobj(capsys):
-    assert main(["verify", "programs/mixed_call.upy"]) == 0
-    assert "verified at pyobj" in capsys.readouterr().out
-
-
-def test_verify_rejects_unsound_program(capsys):
-    assert main(["verify", "programs/translated_call_error.upy"]) == \
-        ExitStatus.STATIC_ERROR
-    assert "does not verify" in capsys.readouterr().err
-
-
 def test_verify_bad_tag_is_usage(capsys):
     assert main(["verify", "programs/mixed_call.upy", "--tag",
                  "gibberish["]) == ExitStatus.USAGE
@@ -185,19 +161,6 @@ def test_verify_at_specific_tag(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------- embed
-
-def test_embed_good_client(capsys):
-    assert main(["embed", "--typed", "programs/typed_call_lib.ant",
-                 "--context", "programs/call_context.upy"]) == 0
-    assert capsys.readouterr().out.strip() == "42"
-
-
-def test_embed_bad_client_fails_cast(capsys):
-    assert main(["embed", "--typed", "programs/typed_call_lib.ant",
-                 "--context", "programs/bad_call_context.upy"]) == \
-        ExitStatus.CAST_ERROR
-    assert "casterror" in capsys.readouterr().out
-
 
 def test_embed_rejects_bad_context(tmp_path, capsys):
     two = _write(tmp_path, "two.upy", "HOLE(HOLE)")

@@ -35,7 +35,8 @@ from anthill.printer import (
     print_upython,
 )
 from anthill.translate import translate_program
-from anthill.upython import NATIVE, TRANSLATED, UApp, UGet, UInt, ULam, UVar
+from anthill.upython import FUN_TAGS, NATIVE, TRANSLATED, FunTag, UApp, UGet, \
+    UInt, ULam, UVar
 
 from helpers import rand_bounded_expr
 from oracles import OLexError, o_tokenize
@@ -92,6 +93,14 @@ def test_tag_round_trip_random():
     for _ in range(500):
         s = gen_tag(rng)
         assert parse_tag(print_tag(s)) == s
+
+
+def test_parsing_function_tags_does_not_grow_the_arity_table():
+    before = len(FUN_TAGS)
+    for k in range(1000):
+        assert parse_tag(f"fun[{10**6 + k}]") == FunTag(10**6 + k)
+    assert len(FUN_TAGS) == before
+    assert parse_tag("fun[2]") == FunTag(2)
 
 
 # ---------------------------------------------------------------------------
