@@ -27,7 +27,6 @@ from .upython import (
     USet,
     is_value,
     rebuild_path,
-    walk,
 )
 from .verify import TagEnv, TagError, infer, tag_env, tag_subtype
 
@@ -39,10 +38,6 @@ _FORM_NAME = {UApp: "call", UGet: "get", USet: "set", UClass: "class"}
 
 class ContextError(ValueError):
     """The expression is not a well-formed one-hole native context."""
-
-
-def count_holes(e: UPyExpr) -> int:
-    return list(map(type, walk(e))).count(UHole)
 
 
 def validate_context(ctx: CodeContext) -> None:
@@ -57,15 +52,16 @@ def validate_context(ctx: CodeContext) -> None:
     n = list(map(type, nodes)).count(UHole)
     if n != 1:
         raise ContextError(f"context must have exactly one hole, found {n}")
+    # the classes whose member slot the hole path enters
+    holds_hole = {id(node) for node, _, i in _path_of(ctx)
+                  if type(node) is UClass and i > len(node.supers)}
     for e in nodes:
         if isinstance(e, UAddr):
             raise ContextError(f"not a context form: {print_upython(e)}")
         form = _FORM_NAME.get(type(e))
         if form is not None and e.label is not NATIVE:
             raise ContextError(f"context contains a translated-label {form}")
-        if (form == "class"
-                and not all(map(is_value, e.supers))
-                and any(map(count_holes, dict(e.members).values()))):
+        if id(e) in holds_hole and not all(map(is_value, e.supers)):
             raise ContextError(
                 "a class whose member holds the hole must have value "
                 "superclasses")

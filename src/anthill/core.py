@@ -30,66 +30,49 @@ class AnthillType:
     __slots__ = ()
 
 
-class AttrTypes:
-    """Ordered label -> type map. Equality ignores order; iteration and
-    printing preserve declaration order. Duplicate labels are rejected; a
-    dict is kept as it is, so its labels must be str and must not change."""
+def _immutable(*args, **kwargs):
+    raise TypeError("AttrTypes is immutable")
 
-    __slots__ = ("entries", "_map")
+
+class AttrTypes(dict):
+    """Immutable label -> type map. Equality ignores order; iteration and
+    printing preserve declaration order. Duplicate labels are rejected;
+    a dict's labels are taken as distinct str labels without a check."""
+
+    __slots__ = ()
 
     def __init__(self, entries=()) -> None:
-        pairs = tuple(entries.items() if type(entries) is dict else entries)
-        if type(entries) is not dict:
-            if not all(map(str.__instancecheck__, map(itemgetter(0), pairs))):
-                pairs = tuple([(str(l), t) for l, t in pairs])
-            entries = dict(pairs)
-            if len(entries) < len(pairs):
-                seen = set()
-                lbl = next(l for l, _ in pairs if l in seen or seen.add(l))
-                raise ValueError(f"duplicate attribute label {lbl!r}")
-        _set_entries(self, pairs)
-        _set_map(self, entries)
+        if type(entries) is dict:
+            return dict.__init__(self, entries)
+        pairs = tuple(entries)
+        if not all(map(str.__instancecheck__, map(itemgetter(0), pairs))):
+            pairs = tuple([(str(l), t) for l, t in pairs])
+        dict.__init__(self, pairs)
+        if len(self) < len(pairs):
+            seen = set()
+            lbl = next(l for l, _ in pairs if l in seen or seen.add(l))
+            raise ValueError(f"duplicate attribute label {lbl!r}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AttrTypes is immutable")
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _immutable
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._map
-
-    def __getitem__(self, label: str) -> AnthillType:
-        return self._map[label]
-
-    def get(self, label: str, default=None):
-        return self._map.get(label, default)
+    @property
+    def entries(self) -> tuple[tuple[str, AnthillType], ...]:
+        return tuple(self.items())
 
     def names(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.entries)
-
-    def items(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AttrTypes):
-            return NotImplemented
-        return self._map == other._map
+        return tuple(self)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
+        return hash(frozenset(self.items()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{l}: {t!r}" for l, t in self.entries)
+        inner = ", ".join(f"{l}: {t!r}" for l, t in self.items())
         return "{" + inner + "}"
 
 
-# the slots' own setters, which skip the refusing __setattr__
-_set_entries, _set_map = AttrTypes.entries.__set__, AttrTypes._map.__set__
-
-
 def attrs(**kw: AnthillType) -> AttrTypes:
-    return AttrTypes(tuple(kw.items()))
+    return AttrTypes(kw)
 
 
 @node
@@ -253,18 +236,16 @@ def consistent(a: AnthillType, b: AnthillType) -> bool:
 
 
 def _attrs_consistent(d1: AttrTypes, d2: AttrTypes) -> bool:
-    m2 = d2._map
-    for l, t in d1.entries:
-        if l in m2 and not consistent(t, m2[l]):
+    for l, t in d1.items():
+        if l in d2 and not consistent(t, d2[l]):
             return False
     return True
 
 
 def _attrs_subtype_consistent(d1: AttrTypes, d2: AttrTypes) -> bool:
     # width: every target label present in the source, members consistent
-    m1 = d1._map
-    for l, t in d2.entries:
-        if l not in m1 or not consistent(m1[l], t):
+    for l, t in d2.items():
+        if l not in d1 or not consistent(d1[l], t):
             return False
     return True
 
@@ -341,10 +322,9 @@ def inst_fun(a: AnthillType) -> AnthillType:
 
 
 def instantiate(class_attrs: AttrTypes, instance_attrs: AttrTypes) -> AttrTypes:
-    own = class_attrs._map
-    entries = list(zip(own, map(inst_fun, own.values())))
-    for entry in instance_attrs.entries:
-        if entry[0] not in own:
+    entries = list(zip(class_attrs, map(inst_fun, class_attrs.values())))
+    for entry in instance_attrs.items():
+        if entry[0] not in class_attrs:
             entries.append(entry)
     return AttrTypes(entries)
 
@@ -358,7 +338,7 @@ def tag_of(a: AnthillType) -> Tag:
     if isinstance(a, Function):
         return FUN_TAGS[len(a.params)]
     if isinstance(a, Object):
-        return ObjTag(a.attrs._map)
+        return ObjTag(a.attrs)
     if isinstance(a, Class):
-        return ClassTag(a.class_attrs._map, len(a.ctor_params))
+        return ClassTag(a.class_attrs, len(a.ctor_params))
     raise TypeError(f"not a type: {a!r}")

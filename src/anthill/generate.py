@@ -203,7 +203,7 @@ def _constructor(goal: Class, sub) -> Constructor:
     params = _named("a", goal.ctor_params)
     scope = {"self": DYN, **dict(params)}
     assigns = []
-    for label, ty in goal.instance_attrs.entries:
+    for label, ty in goal.instance_attrs.items():
         source = next((Var(name) for name, pty in params if pty == ty), None)
         assigns.append((label, sub(scope, ty) if source is None else source))
     return _ctor(params, assigns)
@@ -219,16 +219,15 @@ def _installer(prefix: str, entries) -> Constructor:
 
 def _leaf_object(goal: Object, rng: random.Random) -> AnthillTerm:
     # a memberless class whose constructor installs every declared attribute
-    entries = goal.attrs.entries
     cls = ClassDecl(goal.name, goal.openness, AttrTypes(()), goal.attrs,
-                    (), (), (), _installer("v", entries))
-    return App(cls, tuple(map(leaf_term, repeat(rng), dict(entries).values())))
+                    (), (), (), _installer("v", goal.attrs))
+    return App(cls, tuple(map(leaf_term, repeat(rng), goal.attrs.values())))
 
 
 def _leaf_class(goal: Class, rng: random.Random) -> AnthillTerm:
     def sub(scope, ty):
         return leaf_term(rng, ty)
-    methods, fields = _members(goal.class_attrs.entries, goal, sub)
+    methods, fields = _members(goal.class_attrs.items(), goal, sub)
     return ClassDecl(goal.name, goal.openness, goal.class_attrs,
                      goal.instance_attrs, (), methods, fields,
                      _constructor(goal, sub))
@@ -360,7 +359,7 @@ def _gen_construct(rng: random.Random, env: TypeEnv, goal: Object,
     """
     class_entries: list[tuple[str, AnthillType]] = []
     inst_entries: list[tuple[str, AnthillType]] = []
-    for label, ty in goal.attrs.entries:
+    for label, ty in goal.attrs.items():
         if rng.random() < 0.5:
             inst_entries.append((label, ty))
         elif _has_receiver(ty):
@@ -390,8 +389,8 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
     # optionally inherit a subset of the declared class members
     supers: list[AnthillTerm] = []
     inherited: set[str] = set()
-    if depth >= 2 and goal.class_attrs.entries and rng.random() < 0.35:
-        picked = [e for e in goal.class_attrs.entries if rng.random() < 0.5]
+    if depth >= 2 and goal.class_attrs and rng.random() < 0.35:
+        picked = [e for e in goal.class_attrs.items() if rng.random() < 0.5]
         if picked:
             super_ty = Class(_choice(rng, TYPE_NAME_POOL), _openness(rng),
                              AttrTypes(picked), AttrTypes(()), ())
@@ -405,9 +404,9 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
     def sub(scope, ty):
         return gen_typed_term(rng, {**env, **scope}, ty, depth - 1)
     methods, fields = _members(
-        [e for e in goal.class_attrs.entries if e[0] not in inherited],
+        [e for e in goal.class_attrs.items() if e[0] not in inherited],
         goal, sub)
-    taken = goal.class_attrs._map.keys() | goal.instance_attrs._map.keys()
+    taken = goal.class_attrs.keys() | goal.instance_attrs.keys()
     free = list(filterfalse(taken.__contains__, LABEL_POOL))
     if free and rng.random() < 0.2:
         # an undeclared extra member is allowed

@@ -169,7 +169,7 @@ def _mems_or_error(rule, ty, subterm):
 def _member_type(rule, ty, t):
     """The declared type of member t.attr on ty, or None when ty is open
     and lacks it; a static type error when ty is closed and lacks it."""
-    members = _mems_or_error(rule, ty, t)._map
+    members = _mems_or_error(rule, ty, t)
     if t.attr in members or queryable(ty) is OPEN:
         return members.get(t.attr)
     raise StaticTypeError(
@@ -185,8 +185,8 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
     for s in t.supers:
         se, sty = _TERM_RULES[type(s)](env, s)
         sm = _mems_or_error("class", sty, s)
-        super_exprs.append(UCheck(se, ClassTag(sm._map, None)))
-        super_mems.append(sm._map)
+        super_exprs.append(UCheck(se, ClassTag(sm, None)))
+        super_mems.append(sm)
 
     # the constructor's receiver is dynamically typed in its body and
     # gets no entry check; its parameters are checked as in functions
@@ -219,7 +219,7 @@ def _translate_class(env: TypeEnv, t: ClassDecl) -> tuple[UPyExpr, AnthillType]:
     provides = {}
     for m in (*reversed(super_mems), local_types):
         provides.update(m)
-    for name, declared_ty in declared.class_attrs.entries:
+    for name, declared_ty in declared.class_attrs.items():
         provided = provides.get(name)
         if provided is None:
             raise StaticTypeError(

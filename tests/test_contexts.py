@@ -8,7 +8,6 @@ import pytest
 
 from anthill.contexts import (
     ContextError,
-    count_holes,
     hole_binders,
     plug,
     type_context,
@@ -39,6 +38,10 @@ PYOBJ = Pyobj()
 INT_TAG = IntTag()
 
 
+def count_holes(e):
+    return sum(isinstance(n, UHole) for n in walk(e))
+
+
 def ctx(src: str):
     return parse_upython(src, allow_hole=True)
 
@@ -63,6 +66,13 @@ def test_contexts_are_native_only():
         validate_context(ctx("HOLE.a!"))
     with pytest.raises(ContextError):
         validate_context(ctx("class! C() {a = HOLE} init lambda(s): 0"))
+
+
+def test_a_context_holding_an_address_is_refused():
+    c = parse_upython("HOLE(@0)", allow_hole=True, allow_addresses=True)
+    with pytest.raises(ContextError) as err:
+        validate_context(c)
+    assert str(err.value) == "not a context form: @0"
 
 
 def test_member_hole_requires_value_superclasses():

@@ -263,6 +263,22 @@ def test_attr_map_coerces_labels_to_strings_in_declaration_order():
     assert str(err.value) == "duplicate attribute label '1'"
 
 
+def test_attr_map_refuses_every_mutation():
+    d = AttrTypes((("a", INT), ("b", DYN)))
+    before = hash(d)
+    mutations = [
+        lambda: d.__setitem__("c", INT), lambda: d.__delitem__("a"),
+        lambda: d.update(c=INT), lambda: d.pop("a"), d.popitem,
+        lambda: d.setdefault("c", INT), d.clear,
+    ]
+    for mutate in mutations:
+        with pytest.raises(TypeError, match="AttrTypes is immutable"):
+            mutate()
+    with pytest.raises(TypeError, match="AttrTypes is immutable"):
+        d |= {"c": INT}
+    assert d.entries == (("a", INT), ("b", DYN)) and hash(d) == before
+
+
 def test_class_declaration_rejects_a_method_and_field_sharing_a_label():
     with pytest.raises(ValueError, match="duplicate member label 'm'"):
         ClassDecl("C", OPEN, attrs(), attrs(), (),

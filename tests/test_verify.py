@@ -15,6 +15,7 @@ from anthill import verify
 from anthill.parser import parse_upython
 from anthill.runtime import ClassH, Heap, ObjH
 from anthill.upython import (
+    FUN_TAGS,
     ClassTag,
     FunTag,
     IntTag,
@@ -113,6 +114,20 @@ def test_inference_pins():
     assert infer((("x", PYOBJ),), {},
                  parse_upython("x.a = 1")) == INT_TAG  # native write
     assert infer_or_none((), {}, UVar("loose")) is None
+
+
+def test_a_dict_environment_types_like_its_pairs():
+    as_dict = {"x": INT_TAG, "f": FUN_TAGS[1]}
+    as_pairs = (("x", INT_TAG), ("f", FUN_TAGS[1]))
+    got = []
+    for src in ("f(x)", "f(x)!", "let g = f in x", "f(x, x)!"):
+        e = parse_upython(src)
+        got.append(infer_or_none(as_dict, {}, e))
+        assert got[-1] == infer_or_none(as_pairs, {}, e)
+        for want in (INT_TAG, FUN_TAGS[1], PYOBJ):
+            assert verifies(as_dict, {}, e, want) == \
+                verifies(as_pairs, {}, e, want)
+    assert got == [PYOBJ, PYOBJ, INT_TAG, None]
 
 
 def test_class_literal_types():
