@@ -35,16 +35,16 @@ def _immutable(*args, **kwargs):
 
 
 class AttrTypes(dict):
-    """Immutable label -> type map. Equality ignores order; iteration and
-    printing preserve declaration order. Duplicate labels are rejected;
-    a dict's labels are taken as distinct str labels without a check."""
+    """Immutable label -> type map from a mapping's items or from pairs.
+    Equality ignores order; iteration and printing keep declaration order.
+    Duplicate labels are rejected; a plain dict's are trusted unchecked."""
 
     __slots__ = ()
 
     def __init__(self, entries=()) -> None:
         if type(entries) is dict:
             return dict.__init__(self, entries)
-        pairs = tuple(entries)
+        pairs = tuple(entries.items() if hasattr(entries, "keys") else entries)
         if not all(map(str.__instancecheck__, map(itemgetter(0), pairs))):
             pairs = tuple([(str(l), t) for l, t in pairs])
         dict.__init__(self, pairs)

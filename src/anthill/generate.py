@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate, filterfalse, islice, repeat
+from types import MappingProxyType
 
 from .core import (
     OPEN,
@@ -419,11 +420,12 @@ def _gen_class_decl(rng: random.Random, env: TypeEnv, goal: Class,
                      _constructor(goal, sub))
 
 
-def gen_typed_program(rng: random.Random,
-                      depth: int) -> tuple[AnthillTerm, AnthillType]:
-    """A closed well-typed term together with its type."""
+def gen_typed_program(rng: random.Random, depth: int,
+                      env: TypeEnv = MappingProxyType({})
+                      ) -> tuple[AnthillTerm, AnthillType]:
+    """A term well typed under env, closed by default, and its type."""
     goal = gen_type(rng, max(1, depth // 2))
-    return gen_typed_term(rng, {}, goal, depth), goal
+    return gen_typed_term(rng, env, goal, depth), goal
 
 
 # ---------------------------------------------------------------------------

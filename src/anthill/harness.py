@@ -22,7 +22,7 @@ from functools import cached_property
 from .contexts import CodeContext, hole_binders, plug, type_context, \
     validate_context
 from .core import DYN, AnthillTerm, tag_of
-from .generate import TypeEnv, gen_type, gen_typed_term, gen_untyped_context
+from .generate import TypeEnv, gen_typed_program, gen_untyped_context
 from .printer import print_anthill_term, print_anthill_type, print_tag, \
     print_upython
 from .runtime import Outcome, run
@@ -94,8 +94,7 @@ def draw_trial(seed: int, config: TrialConfig) -> tuple[
     rng = random.Random(seed)
     ctx = gen_untyped_context(rng, config.ctx_depth)
     binders = hole_binders(ctx)
-    goal = gen_type(rng, max(1, config.term_depth // 2))
-    term = gen_typed_term(rng, hole_envs(binders)[0], goal, config.term_depth)
+    term = gen_typed_program(rng, config.term_depth, hole_envs(binders)[0])[0]
     return ctx, binders, term
 
 

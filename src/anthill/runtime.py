@@ -21,11 +21,8 @@ from .upython import (
     INT_TAG,
     PYOBJ,
     ClassTag,
-    FunTag,
-    IntTag,
     Label,
     ObjTag,
-    Pyobj,
     RuleTable,
     Tag,
     UAddr,
@@ -185,16 +182,7 @@ def value_tag(v: UPyExpr, heap: Heap) -> Tag:
 
 
 def check(v: UPyExpr, heap: Heap, tag: Tag) -> bool:
-    """Shallow tag test on a value: its own tag lies below tag. A pyobj,
-    int or fun[n] tag is decided without the labels of a record."""
-    if isinstance(tag, Pyobj):
-        return True
-    if isinstance(tag, IntTag):
-        return isinstance(v, UInt)
-    if isinstance(tag, FunTag):
-        if isinstance(v, UAddr) and isinstance(heap.get(v.addr), ClassH):
-            return class_arity(value_tag(heap[v.addr].ctor, heap)) == tag.arity
-        return isinstance(v, ULam) and len(v.params) == tag.arity
+    """Shallow tag test on a value: its `value_tag` lies below tag."""
     return tag_subtype(value_tag(v, heap), tag)
 
 
@@ -342,12 +330,10 @@ def _contract(e: UPyExpr, heap: Heap) -> Stepped | CastError | PyError:
                 return PyError(e.label, 1, "EApp3")
             return Stepped(substitute(fn.body, dict(zip(fn.params, args))),
                            "EApp1")
-        if isinstance(fn, UAddr) and fn.addr in heap:
-            h = heap[fn.addr]
-            if isinstance(h, ClassH):
-                a2 = heap.alloc(ObjH(fn.addr, {}))
-                ctor_call = UApp(h.ctor, (UAddr(a2),) + args, e.label)
-                return Stepped(ULet("_", ctor_call, UAddr(a2)), "EApp2")
+        if _is_class(fn, heap):
+            a2 = heap.alloc(ObjH(fn.addr, {}))
+            ctor_call = UApp(heap[fn.addr].ctor, (UAddr(a2),) + args, e.label)
+            return Stepped(ULet("_", ctor_call, UAddr(a2)), "EApp2")
         return PyError(e.label, 1, "EApp3")
 
     if isinstance(e, UCheck):

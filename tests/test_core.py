@@ -4,6 +4,7 @@ tests/oracles.py; the pinned cases document behavior the random sweep
 could miss."""
 
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -261,6 +262,13 @@ def test_attr_map_coerces_labels_to_strings_in_declaration_order():
     with pytest.raises(ValueError) as err:
         AttrTypes((("c", INT), (1, INT), ("1", DYN)))
     assert str(err.value) == "duplicate attribute label '1'"
+
+
+def test_attr_map_reads_any_mapping_by_its_items():
+    src = AttrTypes({"cd": DYN, "ab": INT})
+    copy = AttrTypes(src)
+    assert copy == src and copy.entries == (("cd", DYN), ("ab", INT))
+    assert AttrTypes(OrderedDict(x=INT, y=DYN)) == attrs(x=INT, y=DYN)
 
 
 def test_attr_map_refuses_every_mutation():

@@ -123,11 +123,12 @@ def test_a_trial_searches_its_hole_path_once(monkeypatch):
 
 
 # Python-level calls in seed 0's first 200 trials, as sys.setprofile
-# reports "call" events, generator resumptions included: 223,587 on
-# CPython 3.11.7 with this test run alone, under any hash seed; 3.12
-# and 3.13 make slightly fewer. The budget is that count with under 3 %
-# headroom. Raise it only in a change whose CHANGES.md line says why
-# the trials need the extra calls.
+# reports "call" events, generator resumptions included: 224,883 on
+# CPython 3.11.7, with this test run alone or in a plain script, under
+# any hash seed; 3.12.1 and 3.13.0 make slightly fewer (224,504 and
+# 224,438), and CI runs this test on 3.12 and 3.13 too. The budget is
+# the 3.11 count with under 3 % headroom. Raise it only in a change whose
+# CHANGES.md line says why the trials need the extra calls.
 CALL_BUDGET = 230_000
 
 

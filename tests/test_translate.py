@@ -3,16 +3,20 @@ static rejections, and the guarantee that translated code verifies at
 the tag image of its static type."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from anthill import translate
 from anthill.core import DYN, AnthillTerm, tag_of
 from anthill.generate import gen_type, gen_typed_program, gen_typed_term
+from anthill.harness import (TrialConfig, draw_trial, translate_into,
+                             trial_seed)
 from anthill.parser import parse_anthill, parse_upython
 from anthill.printer import print_anthill_type, print_upython
 from anthill.translate import StaticTypeError, translate_program, translate_term
-from anthill.upython import UHole
+from anthill.upython import (TRANSLATED, UApp, UClass, UGet, UHole, USet,
+                             walk)
 from anthill.verify import verifies
 
 from helpers import package_subclasses
@@ -204,6 +208,26 @@ def test_translation_under_an_environment_verifies_under_its_image():
         assert ty == goal
         tag_env = tuple((n, tag_of(t)) for n, t in env.items())
         assert verifies(tag_env, {}, target, tag_of(ty))
+
+
+def test_every_form_a_translation_emits_carries_the_translated_label():
+    # the label is what blames a runtime error on translated code, so one
+    # native-labelled form in a target would hide a soundness violation
+    targets = []
+    for i in range(2000):
+        _, binders, term = draw_trial(trial_seed(0, i), TrialConfig())
+        targets.append(translate_into(binders, term)[0])
+    programs = Path(__file__).resolve().parent.parent / "programs"
+    for path in sorted(programs.glob("*.ant")):
+        targets.append(translated(path.read_text())[0])
+    rng = random.Random(21)
+    for i in range(20):
+        term = gen_typed_program(rng, 3 + i % 5)[0]
+        targets.append(translate_program(term)[0])
+    forms = [e for t in targets for e in walk(t)
+             if type(e) in (UApp, UGet, USet, UClass)]
+    assert len(forms) >= 30_000
+    assert [e for e in forms if e.label is not TRANSLATED] == []
 
 
 def test_every_term_class_has_a_translation_rule():
