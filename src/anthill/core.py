@@ -9,6 +9,7 @@ accesses are allowed to defer to runtime checks.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from operator import attrgetter, itemgetter
 
 from .upython import FUN_TAGS, INT_TAG, PYOBJ, ClassTag, ObjTag, Tag, node
@@ -113,6 +114,9 @@ class Class(AnthillType):
 
 DYN = Dyn()
 INT = Int()
+
+# a variable -> type environment; every layer only reads one
+TypeEnv = Mapping[str, AnthillType]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .core import (
     Method,
     Object,
     Set,
+    TypeEnv,
     Var,
     DYN,
     INT,
@@ -248,8 +249,6 @@ def leaf_term(rng: random.Random, goal: AnthillType) -> AnthillTerm:
         return _leaf_class(goal, rng)
     return IntLit(_below(rng, 10))
 
-
-TypeEnv = dict[str, AnthillType]
 
 # gen_typed_term's menu by the goal's type class and whether some variable
 # in scope has the goal type

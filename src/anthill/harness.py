@@ -21,8 +21,8 @@ from functools import cached_property
 
 from .contexts import CodeContext, hole_binders, plug, type_context, \
     validate_context
-from .core import DYN, AnthillTerm, tag_of
-from .generate import TypeEnv, gen_typed_program, gen_untyped_context
+from .core import DYN, AnthillTerm, TypeEnv, tag_of
+from .generate import gen_typed_program, gen_untyped_context
 from .printer import print_anthill_term, print_anthill_type, print_tag, \
     print_upython
 from .runtime import Outcome, run

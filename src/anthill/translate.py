@@ -27,6 +27,7 @@ from .core import (
     Fun,
     MemsUndefined,
     Set,
+    TypeEnv,
     Var,
     DYN,
     INT,
@@ -57,8 +58,6 @@ from .upython import (
     USet,
     UVar,
 )
-
-TypeEnv = dict[str, AnthillType]
 
 
 class StaticTypeError(RuleError):

@@ -8,6 +8,7 @@ takes an explicit random.Random so failures replay.
 from __future__ import annotations
 
 import random
+import sys
 
 from anthill.runtime import ClassH, Heap, ObjH, check, value_tag
 from anthill.upython import (
@@ -43,11 +44,16 @@ def seeds(n: int, base: int = 20240) -> range:
 
 
 def package_subclasses(base: type) -> set[type]:
-    """The classes below base, at any depth, that the package defines."""
+    """The classes below base, at any depth, that the package defines and
+    its modules export. `node`'s slotted dataclass replaces the class it
+    decorates, and the replaced one stays among the subclasses until the
+    cycle collector frees it."""
     found, todo = set(), [base]
     while todo:
         for c in todo.pop().__subclasses__():
-            if c.__module__.startswith("anthill.") and c not in found:
+            if (c.__module__.startswith("anthill.") and c not in found
+                    and getattr(sys.modules[c.__module__], c.__name__,
+                                None) is c):
                 found.add(c)
                 todo.append(c)
     return found

@@ -6,11 +6,11 @@ tables, whichever slot the chain goes through: a subexpression that
 inference demands at pyobj is typed by its own rule, called straight,
 and a list of children is substituted by a loop in the rule's frame.
 Both printers take one through any child slot of a target expression,
-and through a source let body, get, callee and call argument: each
-has one postfix rule that prints its subject, and a call's arguments
-in a loop, in its own frame. Check erasure and the interpreter take
-none: a check chain 5,000 deep erases, and a redex under 5,000 frames
-steps and runs."""
+and through a source let body, get, callee and call argument: the one
+postfix rule both languages share prints its subject, and a call's
+arguments in a loop, in its own frame. Check erasure and the
+interpreter take none: a check chain 5,000 deep erases, and a redex
+under 5,000 frames steps and runs."""
 
 import dataclasses
 

@@ -418,6 +418,24 @@ def test_every_expression_class_but_the_hole_has_an_inference_rule():
     assert not verifies((), {}, object(), PYOBJ)
 
 
+def test_package_subclasses_are_the_classes_the_modules_export():
+    # with the collector off, every class node's slotted dataclass
+    # replaced is still a subclass of its base
+    script = f"""if True:
+        import gc, sys
+        gc.disable()
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from anthill import verify
+        from anthill.upython import UHole, UPyExpr
+        from helpers import package_subclasses
+        classes = package_subclasses(UPyExpr)
+        print(classes - {{UHole}} == set(verify._INFER_RULES),
+              all(getattr(sys.modules[c.__module__], c.__name__) is c
+                  for c in classes))
+    """
+    assert _under_hash_seeds(script) == ["True True\n"] * 2
+
+
 def test_tag_and_static_type_errors_share_one_rule_error():
     from anthill.translate import StaticTypeError
     from anthill.upython import RuleError
